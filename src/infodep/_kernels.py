@@ -1,45 +1,30 @@
-"""Hot inner loops, with numba-jitted and pure-NumPy implementations.
+"""Hot inner loops, vectorized with NumPy.
 
 Three kernels dominate runtime: the group-constancy scan behind every
 field-containment test, the closed-loop fixed-point count behind ``solve``,
-and the exhaustive profile scan behind solvability proofs.  Each exists in
-two variants with identical semantics:
-
-* ``*_numba`` -- ``@njit`` compiled, used by default when numba imports;
-* ``*_numpy`` -- vectorized fallback, always available.
-
-Set the environment variable ``INFODEP_NUMBA=0`` (before import) to force
-the NumPy path; ``benchmarks/bench_kernels.py`` times both.
+and the exhaustive profile scan behind solvability proofs.  Their timings
+on fixed inputs are the ``probe.*_ms`` rows of ``python3 perfbench/run.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("INFODEP_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _FLAG not in ("0", "false", "off", "no")
 
-try:  # pragma: no cover - exercised implicitly by the selected path
-    if not NUMBA_REQUESTED:
-        raise ImportError("numba disabled via INFODEP_NUMBA")
-    from numba import njit
-
-    NUMBA_ACTIVE = True
-except ImportError:  # pragma: no cover
-    njit = None
-    NUMBA_ACTIVE = False
+def active_backend() -> str:
+    """Name of the kernel backend; the benchmark's provenance line records it."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # group constancy: are `values` constant within every fiber of `codes`?
 #
 # codes[i] in [0, n_codes); returns (ok, i, j) where (i, j) index a violating
-# pair (same code, different value) when ok is False.
+# pair (same code, different value) when ok is False: i is the first row of
+# that code, j the first row anywhere that disagrees with its code's first row.
 # ---------------------------------------------------------------------------
 
-def group_constant_numpy(codes, values, n_codes):
+def group_constant(codes, values, n_codes):
     uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     ref = values[first][inverse]
     bad = np.flatnonzero(ref != values)
@@ -49,34 +34,26 @@ def group_constant_numpy(codes, values, n_codes):
     return False, int(first[inverse[j]]), j
 
 
-def _group_constant_loop(codes, values, n_codes):
-    first_val = np.full(n_codes, -1, dtype=np.int64)
-    first_pos = np.full(n_codes, -1, dtype=np.int64)
-    for i in range(codes.shape[0]):
-        c = codes[i]
-        if first_pos[c] < 0:
-            first_pos[c] = i
-            first_val[c] = values[i]
-        elif first_val[c] != values[i]:
-            return False, first_pos[c], i
-    return True, -1, -1
-
-
 # ---------------------------------------------------------------------------
 # closed-loop fixed points: config index = omega + n_omega * u.
 #
-# tables: per-agent policy tables concatenated; offsets[a] locates agent a's
+# tables: per-agent policy tables concatenated; bases[a] locates agent a's
 # table.  atoms[a, i] is the information-field atom of config i for agent a,
-# uvals[a, i] its own decision coordinate.  Returns per-omega solution counts
-# and, where the count is exactly one, the solving config index (else -1).
+# uvals[a, i] its own decision coordinate.  A config is a fixed point when
+# every agent's table maps its atom to its own decision.
 # ---------------------------------------------------------------------------
 
-def solve_counts_numpy(tables, offsets, atoms, uvals, n_omega):
-    n_agents, n_configs = atoms.shape
-    ok = np.ones(n_configs, dtype=bool)
-    for a in range(n_agents):
-        ok &= tables[offsets[a] + atoms[a]] == uvals[a]
-    idx = np.flatnonzero(ok)
+def _fixed_points(tables, bases, atoms, uvals):
+    ok = np.ones(atoms.shape[1], dtype=bool)
+    for a in range(atoms.shape[0]):
+        ok &= tables[bases[a] + atoms[a]] == uvals[a]
+    return ok
+
+
+def solve_counts(tables, offsets, atoms, uvals, n_omega):
+    """Per-omega solution counts and, where the count is exactly one, the
+    solving config index (else -1)."""
+    idx = np.flatnonzero(_fixed_points(tables, offsets, atoms, uvals))
     om = idx % n_omega
     counts = np.bincount(om, minlength=n_omega)
     sol = np.full(n_omega, -1, dtype=np.int64)
@@ -85,115 +62,26 @@ def solve_counts_numpy(tables, offsets, atoms, uvals, n_omega):
     return counts.astype(np.int64), sol
 
 
-def _solve_counts_loop(tables, offsets, atoms, uvals, n_omega):
-    n_agents, n_configs = atoms.shape
-    counts = np.zeros(n_omega, dtype=np.int64)
-    sol = np.full(n_omega, -1, dtype=np.int64)
-    for i in range(n_configs):
-        ok = True
-        for a in range(n_agents):
-            if tables[offsets[a] + atoms[a, i]] != uvals[a, i]:
-                ok = False
-                break
-        if ok:
-            om = i % n_omega
-            counts[om] += 1
-            sol[om] = i
-    for om in range(n_omega):
-        if counts[om] != 1:
-            sol[om] = -1
-    return counts, sol
-
-
 # ---------------------------------------------------------------------------
 # exhaustive solvability scan over every policy profile.
 #
 # all_tables concatenates, agent by agent, every candidate policy table for
 # that agent (n_pols[a] tables of length atom_counts[a], at base
 # pol_offsets[a]).  Profiles are visited in mixed-radix order, agent 0 the
-# fastest digit.  Returns the first profile index whose closed loop is not
-# uniquely solvable for some omega, or -1 when all profiles pass.
+# fastest digit.
 # ---------------------------------------------------------------------------
 
-def scan_profiles_numpy(all_tables, pol_offsets, n_pols, atom_counts,
-                        atoms, uvals, n_omega, n_profiles):
-    n_agents, n_configs = atoms.shape
-    counts = np.empty(n_omega, dtype=np.int64)
+def scan_profiles(all_tables, pol_offsets, n_pols, atom_counts,
+                  atoms, uvals, n_omega, n_profiles):
+    """First profile index whose closed loop is not uniquely solvable for
+    some omega, or -1 when all profiles pass."""
     for p in range(n_profiles):
-        ok = np.ones(n_configs, dtype=bool)
-        rest = p
-        for a in range(n_agents):
+        rest, bases = p, []
+        for a in range(atoms.shape[0]):
             k = rest % n_pols[a]
             rest //= n_pols[a]
-            base = pol_offsets[a] + k * atom_counts[a]
-            ok &= all_tables[base + atoms[a]] == uvals[a]
-        counts[:] = np.bincount(np.flatnonzero(ok) % n_omega, minlength=n_omega)
-        if np.any(counts != 1):
+            bases.append(pol_offsets[a] + k * atom_counts[a])
+        ok = _fixed_points(all_tables, bases, atoms, uvals)
+        if np.any(np.bincount(np.flatnonzero(ok) % n_omega, minlength=n_omega) != 1):
             return p
     return -1
-
-
-def _scan_profiles_loop(all_tables, pol_offsets, n_pols, atom_counts,
-                        atoms, uvals, n_omega, n_profiles):
-    n_agents, n_configs = atoms.shape
-    counts = np.zeros(n_omega, dtype=np.int64)
-    bases = np.zeros(n_agents, dtype=np.int64)
-    for p in range(n_profiles):
-        counts[:] = 0
-        rest = p
-        for a in range(n_agents):
-            k = rest % n_pols[a]
-            rest //= n_pols[a]
-            bases[a] = pol_offsets[a] + k * atom_counts[a]
-        for i in range(n_configs):
-            ok = True
-            for a in range(n_agents):
-                if all_tables[bases[a] + atoms[a, i]] != uvals[a, i]:
-                    ok = False
-                    break
-            if ok:
-                counts[i % n_omega] += 1
-        bad = False
-        for om in range(n_omega):
-            if counts[om] != 1:
-                bad = True
-                break
-        if bad:
-            return p
-    return -1
-
-
-if NUMBA_ACTIVE:
-    group_constant_numba = njit(cache=True)(_group_constant_loop)
-    solve_counts_numba = njit(cache=True)(_solve_counts_loop)
-    scan_profiles_numba = njit(cache=True)(_scan_profiles_loop)
-    group_constant = group_constant_numba
-    solve_counts = solve_counts_numba
-    scan_profiles = scan_profiles_numba
-else:
-    group_constant_numba = None
-    solve_counts_numba = None
-    scan_profiles_numba = None
-    group_constant = group_constant_numpy
-    solve_counts = solve_counts_numpy
-    scan_profiles = scan_profiles_numpy
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if NUMBA_ACTIVE else "numpy"
-
-
-def warmup() -> None:
-    """Run each selected kernel once on a toy input (pays JIT cost upfront)."""
-    codes = np.array([0, 1, 0, 1], dtype=np.int64)
-    vals = np.array([3, 4, 3, 4], dtype=np.int64)
-    group_constant(codes, vals, 2)
-    atoms = np.zeros((1, 4), dtype=np.int64)
-    uvals = np.array([[0, 0, 1, 1]], dtype=np.int64)
-    tables = np.zeros(1, dtype=np.int64)
-    offsets = np.zeros(1, dtype=np.int64)
-    solve_counts(tables, offsets, atoms, uvals, 2)
-    scan_profiles(np.array([0, 1], dtype=np.int64), offsets,
-                  np.array([2], dtype=np.int64), np.array([1], dtype=np.int64),
-                  atoms, uvals, 2, 2)

@@ -15,7 +15,6 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from . import _kernels
 from .fieldcore import (
     ConfigSet,
     ConfigSpace,
@@ -84,11 +83,37 @@ def _parse_fraction(text) -> Fraction:
     raise ModelFileError(f"bad rational {text!r}")
 
 
-def _config_from_doc(space: ConfigSpace, doc: dict) -> Configuration:
+# FiniteSpace reads an integer label as its decimal text.
+_LABEL = (str, int)
+
+
+def _typed(value, kinds, what: str):
+    """`value` if it is one of `kinds` (a bool never is), else a ModelFileError."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ModelFileError(f"{what} must be {names}, got {type(value).__name__}")
+    return value
+
+
+def _list_of(value, kinds, what: str) -> list:
+    for item in _typed(value, list, what):
+        _typed(item, kinds, f"entry of {what}")
+    return value
+
+
+def _key(doc: dict, key: str, what: str):
     try:
-        return Configuration(space, doc["omega"], doc["u"])
-    except KeyError as e:
-        raise ModelFileError(f"configuration row missing key {e}") from None
+        return doc[key]
+    except KeyError:
+        raise ModelFileError(f"{what} missing key {key!r}") from None
+
+
+def _config_from_doc(space: ConfigSpace, doc: dict) -> Configuration:
+    _typed(doc, dict, "configuration row")
+    omega = _typed(_key(doc, "omega", "configuration row"), dict, "configuration 'omega'")
+    u = _typed(_key(doc, "u", "configuration row"), dict, "configuration 'u'")
+    return Configuration(space, omega, u)
 
 
 def _config_to_doc(cfg: Configuration) -> dict:
@@ -144,15 +169,21 @@ def model_to_doc(m: WModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> WModel:
+    """Parse a model file's JSON; every malformed input raises ModelFileError."""
+    try:
+        return _parse_model_doc(doc)
+    except FieldcoreError as e:
+        raise ModelFileError(str(e)) from None
+
+
+def _parse_model_doc(doc: dict) -> WModel:
+    _typed(doc, dict, "model file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ModelFileError("missing or unsupported format_version")
-    try:
-        agents = tuple(doc["agents"])
-        nature_doc = doc["nature"]
-        decisions_doc = doc["decisions"]
-        info_doc = doc["info"]
-    except KeyError as e:
-        raise ModelFileError(f"model file missing section {e}") from None
+    agents = tuple(_list_of(_key(doc, "agents", "model file"), str, "'agents'"))
+    nature_doc = _typed(_key(doc, "nature", "model file"), dict, "'nature'")
+    decisions_doc = _typed(_key(doc, "decisions", "model file"), dict, "'decisions'")
+    info_doc = _typed(_key(doc, "info", "model file"), dict, "'info'")
     for section in (nature_doc, decisions_doc, info_doc):
         unknown = set(section) - set(agents)
         if unknown:
@@ -161,43 +192,46 @@ def model_from_doc(doc: dict) -> WModel:
     prob_entries = {}
     for a in agents:
         try:
-            entry = nature_doc[a]
+            entry = _typed(nature_doc[a], dict, f"nature.{a}")
         except KeyError:
             raise ModelFileError(f"nature section missing agent {a!r}") from None
-        nature[a] = FiniteSpace(f"omega[{a}]", tuple(entry["labels"]))
+        labels = _list_of(_key(entry, "labels", f"nature.{a}"), _LABEL, f"nature.{a}.labels")
+        nature[a] = FiniteSpace(f"omega[{a}]", tuple(labels))
         if "prob" in entry:
-            prob_entries[a] = {k: _parse_fraction(v) for k, v in entry["prob"].items()}
+            prob = _typed(entry["prob"], dict, f"nature.{a}.prob")
+            prob_entries[a] = {k: _parse_fraction(v) for k, v in prob.items()}
     decisions = {}
     for a in agents:
         try:
-            decisions[a] = FiniteSpace(f"u[{a}]", tuple(decisions_doc[a]))
+            labels = decisions_doc[a]
         except KeyError:
             raise ModelFileError(f"decisions section missing agent {a!r}") from None
-    try:
-        space = ConfigSpace(agents, nature, decisions)
-    except FieldcoreError as e:
-        raise ModelFileError(str(e)) from None
+        labels = _list_of(labels, _LABEL, f"decisions.{a}")
+        decisions[a] = FiniteSpace(f"u[{a}]", tuple(labels))
+    space = ConfigSpace(agents, nature, decisions)
 
     info = {}
     for a in agents:
         entry = info_doc.get(a)
         if entry is None:
             raise ModelFileError(f"info section missing agent {a!r}")
+        _typed(entry, dict, f"info.{a}")
         if "mask" in entry:
-            mask = CoordinateMask(
-                frozenset(entry["mask"].get("nature", [])),
-                frozenset(entry["mask"].get("decision", [])),
-            )
-            try:
-                space.validate_mask(mask)
-            except FieldcoreError as e:
-                raise ModelFileError(str(e)) from None
+            mask_doc = _typed(entry["mask"], dict, f"info.{a}.mask")
+            mask = CoordinateMask(**{
+                kind: frozenset(_list_of(mask_doc.get(kind, []), str, f"info.{a}.mask.{kind}"))
+                for kind in ("nature", "decision")
+            })
+            space.validate_mask(mask)
             info[a] = InformationField.from_mask(space, a, mask)
         elif "obs_table" in entry:
             raw = np.full(space.n_configs, -1, dtype=np.int64)
-            for row in entry["obs_table"]:
+            for row in _typed(entry["obs_table"], list, f"info.{a}.obs_table"):
                 cfg = _config_from_doc(space, row)
-                raw[space.index_of(cfg)] = int(row["atom"])
+                atom = _typed(_key(row, "atom", "obs_table row"), int, "obs_table 'atom'")
+                if not 0 <= atom < 2 ** 63:
+                    raise ModelFileError(f"obs_table atom {atom} is not a non-negative int64")
+                raw[space.index_of(cfg)] = atom
             if np.any(raw < 0):
                 raise ModelFileError(f"obs_table for {a!r} does not cover the space")
             from .fieldcore import partition_from_codes
@@ -215,14 +249,16 @@ def model_from_doc(doc: dict) -> WModel:
     profile = None
     if "policies" in doc:
         policies = {}
-        for a, rows in doc["policies"].items():
+        for a, rows in _typed(doc["policies"], dict, "'policies'").items():
             if a not in agents:
                 raise ModelFileError(f"policies reference unknown agent {a!r}")
             part = info[a].partition
             table = np.full(part.atom_count, -1, dtype=np.int64)
-            for row in rows:
+            for row in _typed(rows, list, f"policies.{a}"):
                 cfg = _config_from_doc(space, row)
-                table[part.atom_of(cfg)] = decisions[a].index(str(row["decision"]))
+                label = _typed(_key(row, "decision", "policy row"), _LABEL,
+                               "policy 'decision'")
+                table[part.atom_of(cfg)] = decisions[a].index(str(label))
             if np.any(table < 0):
                 raise ModelFileError(f"policy for {a!r} leaves atoms undefined")
             policies[a] = Policy(a, table)
@@ -230,16 +266,13 @@ def model_from_doc(doc: dict) -> WModel:
             raise ModelFileError("policies must cover every agent when present")
         profile = PolicyProfile(policies)
 
-    meta_doc = doc.get("meta", {})
+    meta_doc = _typed(doc.get("meta", {}), dict, "'meta'")
     meta = ModelMeta(
         name=str(meta_doc.get("name", "model")),
         provenance=str(meta_doc.get("provenance", "USER")),
         notes=str(meta_doc.get("notes", "")),
     )
-    try:
-        return WModel(space, info, prior=prior, canonical_profile=profile, meta=meta)
-    except FieldcoreError as e:
-        raise ModelFileError(str(e)) from None
+    return WModel(space, info, prior=prior, canonical_profile=profile, meta=meta)
 
 
 def load_model_file(path: str) -> WModel:
@@ -296,7 +329,8 @@ def _context_from_options(m: WModel, pin_nature, pin_decision, context_file) -> 
                 _fail_usage("give pins or a context file, not both")
             with open(context_file, "r", encoding="utf-8") as fh:
                 rows = json.load(fh)
-            configs = [_config_from_doc(m.space, row) for row in rows]
+            configs = [_config_from_doc(m.space, row)
+                       for row in _typed(rows, list, "context file")]
             return ConfigSet.from_configs(m.space, configs)
         if not pins_n and not pins_u:
             return None
@@ -922,7 +956,6 @@ def _reproduce_equivalence(seed):
              "disagreements": len(r.disagreements)}
             for r in reports
         ],
-        "kernel_backend": _kernels.active_backend(),
     }
 
 

@@ -266,8 +266,8 @@ def verify_docalculus(
     """
     y, z, w = frozenset(y), frozenset(z), frozenset(w)
     rng = np.random.default_rng(seed)
-    cert = topologically_separated(m, y, z, w, ctx)
     rel = precedes(m, w, ctx)
+    cert = topologically_separated(m, y, z, w, ctx, relation=rel)
     cl_y = topo_closure(m, y, w, ctx, relation=rel)
     cl_z = topo_closure(m, z, w, ctx, relation=rel)
     context = ctx if ctx is not None else ConfigSet.full(m.space)

@@ -1,6 +1,5 @@
 import pytest
 
-from infodep import _kernels
 from infodep.fieldcore import ConfigSet, ConfigSpace, CoordinateMask, FiniteSpace
 from infodep.model import (
     InformationField,
@@ -11,12 +10,6 @@ from infodep.model import (
     dag_to_idm,
 )
 from infodep.dsep import random_dag
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Pay any JIT compilation once, before timed tests run.
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")
@@ -70,15 +63,18 @@ def mutual_observation_model():
                   meta=ModelMeta(name="mutual-observation"))
 
 
-def random_mask_model(rng, n_agents=None, local_noise=True, edge_prob=0.45):
-    """Random binary model with mask fields (possibly cyclic)."""
+def random_mask_model(rng, n_agents=None, local_noise=True, edge_prob=0.45,
+                      self_observing=False):
+    """Random binary model with mask fields (possibly cyclic); with
+    `self_observing`, an agent may also see its own decision."""
     n = int(n_agents) if n_agents is not None else int(rng.integers(2, 6))
     agents = tuple(f"A{i}" for i in range(n))
     nature, decisions = binary_spaces(agents)
     space = ConfigSpace(agents, nature, decisions)
     info = {}
     for a in agents:
-        seen_u = frozenset(b for b in agents if b != a and rng.random() < edge_prob)
+        seen_u = frozenset(b for b in agents
+                           if (b != a or self_observing) and rng.random() < edge_prob)
         if local_noise:
             seen_n = frozenset({a})
         else:

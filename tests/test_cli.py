@@ -54,6 +54,33 @@ class TestModelFiles:
             model_from_doc(doc)
 
 
+_DROP = object()
+
+
+def _set(path, value):
+    """Mutation of an exported builtin: set (or, for value _DROP, delete) doc[path]."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return doc
+    return mutate
+
+MALFORMED_MODEL_FILES = {
+    "missing-labels": ("witsenhausen-xor", _set(("nature", "X0", "labels"), _DROP)),
+    "top-level-list": ("witsenhausen-xor", lambda doc: [doc]),
+    "agents-int": ("witsenhausen-xor", _set(("agents",), 5)),
+    "mask-nature-int": ("witsenhausen-xor", _set(("info", "X0", "mask", "nature"), 5)),
+    "atom-not-int": ("tikka-context", _set(("info", "b", "obs_table", 0, "atom"), "x")),
+    "prob-list": ("witsenhausen-xor", _set(("nature", "X0", "prob"), ["1/2", "1/2"])),
+    "policy-row-int": ("witsenhausen-xor", _set(("policies", "X0", 0), 5)),
+}
+
+
 class TestValidateCommand:
     def test_exported_builtin_validates(self, runner, tmp_path):
         path = tmp_path / "xor.json"
@@ -69,6 +96,15 @@ class TestValidateCommand:
         path.write_text("{not json")
         res = invoke(runner, "validate", "--model", str(path))
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_FILES))
+    def test_malformed_model_file_exits_2(self, runner, tmp_path, case):
+        name, mutate = MALFORMED_MODEL_FILES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mutate(model_to_doc(builtin(name)))))
+        res = invoke(runner, "validate", "--model", str(path))
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
 
     def test_unknown_agent_reference_exits_2(self, runner, tmp_path):
         doc = model_to_doc(builtin("common-cause"))

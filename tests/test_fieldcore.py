@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from infodep import _kernels
 from infodep.fieldcore import (
     ConfigSet,
     ConfigSpace,
@@ -296,3 +297,37 @@ class TestFieldSubsetOn:
         p = partition_from_mask(space, rand_mask())
         if field_subset_on(p, m1, full) and field_subset_on(p, m2, full):
             assert field_subset_on(p, m1.intersection(m2), full)
+
+
+def group_constant_oracle(codes, values, n_codes):
+    """First-occurrence loop: the reference for the NumPy group-constancy kernel."""
+    first_val = [None] * n_codes
+    first_pos = [-1] * n_codes
+    for i, (c, v) in enumerate(zip(codes.tolist(), values.tolist())):
+        if first_pos[c] < 0:
+            first_pos[c], first_val[c] = i, v
+        elif first_val[c] != v:
+            return False, first_pos[c], i
+    return True, -1, -1
+
+
+class TestGroupConstantKernel:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_first_occurrence_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_codes = int(rng.integers(1, 50))
+        n = int(rng.integers(n_codes + 1, 400))  # some code repeats
+        codes = rng.integers(0, n_codes, n)
+        values = rng.integers(0, 5, n_codes)[codes]
+        assert _kernels.group_constant(codes, values, n_codes) == (True, -1, -1)
+        assert group_constant_oracle(codes, values, n_codes) == (True, -1, -1)
+
+        _, first = np.unique(codes, return_index=True)
+        repeats = np.setdiff1d(np.arange(n), first)
+        broken = values.copy()
+        broken[rng.choice(repeats)] += 1  # a guaranteed violation
+        extra = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
+        broken[extra] += rng.integers(1, 3, extra.size)
+        expected = group_constant_oracle(codes, broken, n_codes)
+        assert not expected[0]
+        assert _kernels.group_constant(codes, broken, n_codes) == expected

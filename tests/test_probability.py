@@ -234,6 +234,25 @@ class TestVerifyDoCalculus:
         assert rep.certificate is None
         assert rep.ci_violations_observed > 0
 
+    def test_precedence_relation_computed_once(self, xor_model, monkeypatch):
+        from infodep import precedence, probability
+
+        calls = []
+        original = precedence.precedes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(precedence, "precedes", counting)
+        monkeypatch.setattr(probability, "precedes", counting)
+        rep = verify_docalculus(
+            xor_model, {"X3"}, {"X4"}, {"X0", "X1", "X2"},
+            policy_trials=2, prior_trials=1, seed=0,
+        )
+        assert rep.separated and rep.ok
+        assert len(calls) == 1
+
     def test_zero_prior_trials_without_model_prior_rejected(self):
         rng = np.random.default_rng(0)
         m, _ = random_dag_model(rng, n=3, edge_prob=0.3)

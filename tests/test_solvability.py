@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,12 @@ from infodep.solvability import (
 from infodep.dsep import random_dag
 from infodep.probability import cond_independent, pushforward
 
-from conftest import binary_spaces, mutual_observation_model, random_dag_model
+from conftest import (
+    binary_spaces,
+    mutual_observation_model,
+    random_dag_model,
+    random_mask_model,
+)
 
 
 def sequential_decisions(m, g, profile, omega):
@@ -40,6 +47,22 @@ def sequential_decisions(m, g, profile, omega):
         probe = Configuration(m.space, omega, dec)
         dec[a] = profile[a].decision_label(m, probe)
     return dec
+
+
+def exhaustive_solve_oracle(m):
+    """Reference for the exhaustive scan: `solve` on every profile in mixed-radix
+    order, agent 0 the fastest digit; (kind, profiles_checked, witness)."""
+    enums = [enumerate_policies(m, a) for a in m.agents]
+    total = prod(len(e) for e in enums)
+    for p in range(total):
+        rest, pols = p, {}
+        for a, e in zip(m.agents, enums):
+            rest, k = divmod(rest, len(e))
+            pols[a] = e.policy_at(k)
+        profile = PolicyProfile(pols)
+        if not solve(m, profile).solvable:
+            return "UNSOLVABLE", p + 1, profile
+    return "SOLVABLE_PROVED", total, None
 
 
 def tabulated_profile(m, rules):
@@ -248,6 +271,24 @@ class TestIsModelSolvable:
         # other than a (impossible) proof is acceptable; exhaustive must be off
         assert not v.exhaustive
         assert v.kind in ("UNKNOWN", "UNSOLVABLE")
+
+    def test_exhaustive_scan_matches_solve_on_every_profile(self):
+        outcomes = set()
+        for seed in range(40):
+            rng = np.random.default_rng(900 + seed)
+            m = random_mask_model(rng, n_agents=int(rng.integers(2, 4)),
+                                  self_observing=seed % 2 == 1)
+            if prod(policy_count(m, a) for a in m.agents) > 1024:
+                continue
+            v = is_model_solvable(m)
+            assert (v.kind, v.profiles_checked, v.witness) == exhaustive_solve_oracle(m), seed
+            if v.witness is None:
+                outcomes.add("proved")
+            else:
+                counts = solve(m, v.witness).counts
+                outcomes.add("no solution" if np.any(counts == 0) else "several solutions")
+        # a scan that only rejects several solutions (or only none) must not pass
+        assert outcomes == {"proved", "no solution", "several solutions"}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_causal_implies_solvable_on_dags(self, seed):

@@ -22,6 +22,7 @@ from .fieldcore import (
     CoordinateMask,
     FieldcoreError,
     FiniteSpace,
+    partition_from_codes,
 )
 from .model import (
     Dag,
@@ -234,8 +235,6 @@ def _parse_model_doc(doc: dict) -> WModel:
                 raw[space.index_of(cfg)] = atom
             if np.any(raw < 0):
                 raise ModelFileError(f"obs_table for {a!r} does not cover the space")
-            from .fieldcore import partition_from_codes
-
             info[a] = InformationField(a, partition_from_codes(space, raw))
         else:
             raise ModelFileError(f"info for {a!r} needs a 'mask' or an 'obs_table'")
@@ -288,33 +287,38 @@ def load_model_file(path: str) -> WModel:
 # option plumbing
 # ---------------------------------------------------------------------------
 
-def _fail_usage(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
-def _get_model(model_path, builtin_name) -> WModel:
+def _model(model_path, builtin_name) -> WModel:
     if (model_path is None) == (builtin_name is None):
-        _fail_usage("give exactly one of --model or --builtin")
-    try:
-        if model_path is not None:
-            return load_model_file(model_path)
-        return builtin(builtin_name)
-    except FieldcoreError as e:
-        _fail_usage(str(e))
+        raise FieldcoreError("give exactly one of --model or --builtin")
+    if model_path is not None:
+        return load_model_file(model_path)
+    return builtin(builtin_name)
 
 
-def _agent_list(text) -> list[str]:
-    if not text:
-        return []
-    return [t.strip() for t in text.split(",") if t.strip()]
+class _AgentList(click.ParamType):
+    """Comma-separated agent names, e.g. 'X0,X1'; the empty text is no agent."""
+
+    name = "agents"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, list):
+            return value
+        return [t.strip() for t in value.split(",") if t.strip()]
+
+
+_AGENTS = _AgentList()
+_COUNT = click.IntRange(min=0)
+
+
+def _decisions(agents) -> CoordinateMask:
+    return CoordinateMask(frozenset(), frozenset(agents))
 
 
 def _parse_pins(pairs) -> dict[str, str]:
     out = {}
     for p in pairs:
         if "=" not in p:
-            _fail_usage(f"pin {p!r} must look like agent=label")
+            raise FieldcoreError(f"pin {p!r} must look like agent=label")
         k, v = p.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -323,10 +327,10 @@ def _parse_pins(pairs) -> dict[str, str]:
 def _context_from_options(m: WModel, pin_nature, pin_decision, context_file) -> ConfigSet | None:
     pins_n = _parse_pins(pin_nature)
     pins_u = _parse_pins(pin_decision)
+    if context_file is not None and (pins_n or pins_u):
+        raise FieldcoreError("give pins or a context file, not both")
     try:
         if context_file is not None:
-            if pins_n or pins_u:
-                _fail_usage("give pins or a context file, not both")
             with open(context_file, "r", encoding="utf-8") as fh:
                 rows = json.load(fh)
             configs = [_config_from_doc(m.space, row)
@@ -336,19 +340,34 @@ def _context_from_options(m: WModel, pin_nature, pin_decision, context_file) -> 
             return None
         return ConfigSet.from_pins(m.space, nature=pins_n, decision=pins_u)
     except (FieldcoreError, OSError, json.JSONDecodeError) as e:
-        _fail_usage(f"bad context: {e}")
+        raise FieldcoreError(f"bad context: {e}") from None
 
 
-def _emit(doc: dict, out_path, fmt: str = "report", tsv_lines=None):
-    if fmt == "tsv" and tsv_lines is not None:
-        text = "\n".join(tsv_lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+def _write(text: str, out_path) -> None:
+    """`text` into the file `out_path`, or onto stdout when no path is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _report(kind: str, t0: float, doc: dict, out_path, fmt: str, ok=None, tsv=None):
+    """Write one report; for a verdict (`ok` given) exit 0 if it holds, else 1.
+
+    The envelope adds `format_version`, `kind` and `timing_s` (seconds since
+    `t0`) around `doc`.  `--format tsv` writes the `tsv` lines of the commands
+    that have them and the JSON report otherwise.
+    """
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, **doc,
+           "timing_s": time.perf_counter() - t0}
+    if fmt == "tsv" and tsv is not None:
+        text = "\n".join(tsv) + "\n"
+    else:
+        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    _write(text, out_path)
+    if ok is not None:
+        sys.exit(0 if ok else 1)
 
 
 def _json_default(obj):
@@ -406,7 +425,23 @@ def _add_options(opts):
     return wrap
 
 
-@click.group()
+class _Main(click.Group):
+    """Holds the exit-code contract for every subcommand.
+
+    A `FieldcoreError` (malformed input) or an `OSError` (a file that cannot
+    be read or written) exits 2 with one `error:` line on stderr.  Any other
+    exception is a bug and keeps its traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (FieldcoreError, OSError) as e:
+            click.echo(f"error: {e}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact queries on finite information-field models."""
 
@@ -417,12 +452,10 @@ def main():
 @_add_options(_out_opts)
 def validate(model_path, builtin_name, require_local_noise, out_path, fmt):
     """Structural validation; exit 0 iff every check passes."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     t0 = time.perf_counter()
     report = validate_model(m, require_local_noise=require_local_noise)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "validation",
+    _report("validation", t0, {
         "model": m.meta.name,
         "provenance": m.meta.provenance,
         "notes": m.meta.notes,
@@ -432,10 +465,7 @@ def validate(model_path, builtin_name, require_local_noise, out_path, fmt):
              "witness": list(c.witness) if c.witness else None}
             for c in report.checks
         ],
-        "timing_s": time.perf_counter() - t0,
-    }
-    _emit(doc, out_path, fmt)
-    sys.exit(0 if report.ok else 1)
+    }, out_path, fmt, ok=report.ok)
 
 
 @main.command()
@@ -443,159 +473,108 @@ def validate(model_path, builtin_name, require_local_noise, out_path, fmt):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def export(model_path, builtin_name, out_path):
     """Write a model (typically a builtin) as a model file."""
-    m = _get_model(model_path, builtin_name)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_doc(m), fh, indent=2)
-        fh.write("\n")
+    m = _model(model_path, builtin_name)
+    _write(json.dumps(model_to_doc(m), indent=2) + "\n", out_path)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--y", "y_text", required=True)
-@click.option("--z", "z_text", required=True)
-@click.option("--w", "w_text", default="")
+@click.option("--y", type=_AGENTS, required=True)
+@click.option("--z", type=_AGENTS, required=True)
+@click.option("--w", type=_AGENTS, default="")
 @_add_options(_ctx_opts)
 @_add_options(_out_opts)
-def separate(model_path, builtin_name, y_text, z_text, w_text,
+def separate(model_path, builtin_name, y, z, w,
              pin_nature, pin_decision, context_file, out_path, fmt):
     """Topological separation; exit 0 separated, 1 not."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     ctx = _context_from_options(m, pin_nature, pin_decision, context_file)
     t0 = time.perf_counter()
-    try:
-        cert = topologically_separated(
-            m, _agent_list(y_text), _agent_list(z_text), _agent_list(w_text), ctx
-        )
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "separation",
-        "query": {"y": _agent_list(y_text), "z": _agent_list(z_text),
-                  "w": _agent_list(w_text)},
+    cert = topologically_separated(m, y, z, w, ctx)
+    _report("separation", t0, {
+        "query": {"y": y, "z": z, "w": w},
         "verdict": "separated" if cert else "not-separated",
         "certificate": _cert_doc(cert),
-        "timing_s": time.perf_counter() - t0,
-    }
-    _emit(doc, out_path, fmt)
-    sys.exit(0 if cert else 1)
+    }, out_path, fmt, ok=cert is not None)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--b", "b_text", required=True, help="Agent set to close.")
-@click.option("--w", "w_text", default="")
+@click.option("--b", type=_AGENTS, required=True, help="Agent set to close.")
+@click.option("--w", type=_AGENTS, default="")
 @_add_options(_ctx_opts)
 @_add_options(_out_opts)
-def closure(model_path, builtin_name, b_text, w_text,
+def closure(model_path, builtin_name, b, w,
             pin_nature, pin_decision, context_file, out_path, fmt):
     """Topological closure of an agent set."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     ctx = _context_from_options(m, pin_nature, pin_decision, context_file)
     t0 = time.perf_counter()
-    try:
-        cl = topo_closure(m, _agent_list(b_text), _agent_list(w_text), ctx)
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    _emit({
-        "format_version": FORMAT_VERSION,
-        "kind": "closure",
-        "query": {"b": _agent_list(b_text), "w": _agent_list(w_text)},
-        "closure": sorted(cl),
-        "timing_s": time.perf_counter() - t0,
-    }, out_path, fmt)
+    cl = topo_closure(m, b, w, ctx)
+    _report("closure", t0, {"query": {"b": b, "w": w}, "closure": sorted(cl)},
+            out_path, fmt)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--w", "w_text", default="")
+@click.option("--w", type=_AGENTS, default="")
 @click.option("--oracle", is_flag=True, default=False,
               help="Use the exponential subset-enumeration oracle.")
 @_add_options(_ctx_opts)
 @_add_options(_out_opts)
-def precedence(model_path, builtin_name, w_text, oracle,
+def precedence(model_path, builtin_name, w, oracle,
                pin_nature, pin_decision, context_file, out_path, fmt):
     """Conditional precedence relation, agent by agent."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     ctx = _context_from_options(m, pin_nature, pin_decision, context_file)
     t0 = time.perf_counter()
-    try:
-        fn = precedes_oracle if oracle else precedes
-        rel = fn(m, _agent_list(w_text), ctx)
-    except FieldcoreError as e:
-        _fail_usage(str(e))
+    rel = (precedes_oracle if oracle else precedes)(m, w, ctx)
     rows = {a: sorted(rel.predecessors(a)) for a in m.agents}
     tsv = ["agent\tpredecessors"] + [f"{a}\t{','.join(rows[a])}" for a in m.agents]
-    _emit({
-        "format_version": FORMAT_VERSION,
-        "kind": "precedence",
-        "query": {"w": _agent_list(w_text), "oracle": oracle},
-        "predecessors": rows,
-        "timing_s": time.perf_counter() - t0,
-    }, out_path, fmt, tsv_lines=tsv)
+    _report("precedence", t0, {"query": {"w": w, "oracle": oracle}, "predecessors": rows},
+            out_path, fmt, tsv=tsv)
 
 
 @main.command()
 @_add_options(_model_opts)
 @click.option("--edges", "edges_text", default=None,
               help="Explicit DAG, e.g. 'A->B;B->C' (overrides the model's graph).")
-@click.option("--y", "y_text", required=True)
-@click.option("--z", "z_text", required=True)
-@click.option("--w", "w_text", default="")
+@click.option("--y", type=_AGENTS, required=True)
+@click.option("--z", type=_AGENTS, required=True)
+@click.option("--w", type=_AGENTS, default="")
 @_add_options(_out_opts)
-def dsep(model_path, builtin_name, edges_text, y_text, z_text, w_text, out_path, fmt):
+def dsep(model_path, builtin_name, edges_text, y, z, w, out_path, fmt):
     """d-separation on a DAG; exit 0 separated, 1 not."""
     if edges_text is not None:
         pairs = []
-        nodes: list[str] = []
-        for chunk in edges_text.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
+        for chunk in filter(None, (c.strip() for c in edges_text.split(";"))):
             if "->" not in chunk:
-                _fail_usage(f"bad edge {chunk!r}")
-            u, v = (s.strip() for s in chunk.split("->", 1))
-            pairs.append((u, v))
-            for x in (u, v):
-                if x not in nodes:
-                    nodes.append(x)
-        for extra in _agent_list(y_text) + _agent_list(z_text) + _agent_list(w_text):
-            if extra not in nodes:
-                nodes.append(extra)
+                raise FieldcoreError(f"bad edge {chunk!r}")
+            pairs.append(tuple(s.strip() for s in chunk.split("->", 1)))
+        # nodes in order of first mention, edges first
+        nodes = dict.fromkeys([x for edge in pairs for x in edge] + y + z + w)
         g = Dag(tuple(nodes), set(pairs))
     else:
-        m = _get_model(model_path, builtin_name)
-        g = m.meta.source_dag
+        g = _model(model_path, builtin_name).meta.source_dag
         if g is None:
-            _fail_usage("model carries no source DAG; use --edges")
+            raise FieldcoreError("model carries no source DAG; use --edges")
     t0 = time.perf_counter()
-    try:
-        verdict = d_separated(g, DsepQuery(
-            frozenset(_agent_list(y_text)), frozenset(_agent_list(z_text)),
-            frozenset(_agent_list(w_text)),
-        ))
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    _emit({
-        "format_version": FORMAT_VERSION,
-        "kind": "d-separation",
-        "query": {"y": _agent_list(y_text), "z": _agent_list(z_text),
-                  "w": _agent_list(w_text)},
+    verdict = d_separated(g, DsepQuery(frozenset(y), frozenset(z), frozenset(w)))
+    _report("d-separation", t0, {
+        "query": {"y": y, "z": z, "w": w},
         "verdict": "separated" if verdict else "not-separated",
-        "timing_s": time.perf_counter() - t0,
-    }, out_path, fmt)
-    sys.exit(0 if verdict else 1)
+    }, out_path, fmt, ok=verdict)
 
 
 @main.command(name="solve")
 @_add_options(_model_opts)
-@click.option("--sample", "n_sample", type=int, default=0,
+@click.option("--sample", "n_sample", type=_COUNT, default=0,
               help="Also solve this many sampled profiles.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=_COUNT, default=0)
 @_add_options(_out_opts)
 def solve_cmd(model_path, builtin_name, n_sample, seed, out_path, fmt):
     """Solve the closed loop for the model's policies (and sampled ones)."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     t0 = time.perf_counter()
     runs = []
     if m.canonical_profile is not None:
@@ -603,47 +582,35 @@ def solve_cmd(model_path, builtin_name, n_sample, seed, out_path, fmt):
     runs.extend((f"sampled-{i}", p) for i, p in
                 enumerate(sample_profiles(m, n_sample, seed)))
     if not runs:
-        _fail_usage("model has no policies; use --sample")
+        raise FieldcoreError("model has no policies; use --sample")
     results = []
     for name, profile in runs:
         sol = solve(m, profile)
-        hist: dict[int, int] = {}
-        for c in sol.counts:
-            hist[int(c)] = hist.get(int(c), 0) + 1
+        counts, freq = np.unique(sol.counts, return_counts=True)
         results.append({
             "profile": name,
             "solvable": sol.solvable,
-            "multiplicity_histogram": {str(k): v for k, v in sorted(hist.items())},
+            "multiplicity_histogram": {str(k): int(v) for k, v in zip(counts, freq)},
         })
-    _emit({
-        "format_version": FORMAT_VERSION,
-        "kind": "solve",
-        "results": results,
-        "timing_s": time.perf_counter() - t0,
-    }, out_path, fmt)
+    _report("solve", t0, {"results": results}, out_path, fmt)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--target", "target_text", required=True)
-@click.option("--given", "given_text", default="")
+@click.option("--target", type=_AGENTS, required=True)
+@click.option("--given", type=_AGENTS, default="")
 @_add_options(_ctx_opts)
 @_add_options(_out_opts)
-def dist(model_path, builtin_name, target_text, given_text,
+def dist(model_path, builtin_name, target, given,
          pin_nature, pin_decision, context_file, out_path, fmt):
     """Exact conditional distribution table under the canonical policies."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     if m.canonical_profile is None or m.prior is None:
-        _fail_usage("dist needs a model with policies and a prior")
+        raise FieldcoreError("dist needs a model with policies and a prior")
     ctx = _context_from_options(m, pin_nature, pin_decision, context_file)
     t0 = time.perf_counter()
-    target = CoordinateMask(frozenset(), frozenset(_agent_list(target_text)))
-    given = CoordinateMask(frozenset(), frozenset(_agent_list(given_text)))
-    try:
-        table = conditional(pushforward(m, m.canonical_profile),
-                            CondQuery(target, given, ctx))
-    except FieldcoreError as e:
-        _fail_usage(str(e))
+    table = conditional(pushforward(m, m.canonical_profile),
+                        CondQuery(_decisions(target), _decisions(given), ctx))
     g_names = [f"{k}:{a}" for k, a in table.given_coords]
     t_names = [f"{k}:{a}" for k, a in table.target_coords]
     tsv = ["\t".join(g_names + t_names + ["exact", "approx"])]
@@ -654,85 +621,61 @@ def dist(model_path, builtin_name, target_text, given_text,
             tsv.append("\t".join(list(g_key) + list(t_key) + [str(p), display_3dec(p)]))
             rows_doc.append({"given": list(g_key), "target": list(t_key),
                              "exact": str(p), "approx": display_3dec(p)})
-    _emit({
-        "format_version": FORMAT_VERSION,
-        "kind": "conditional-table",
-        "query": {"target": _agent_list(target_text), "given": _agent_list(given_text)},
+    _report("conditional-table", t0, {
+        "query": {"target": target, "given": given},
         "empty_context": table.empty_context,
         "rows": rows_doc,
-        "timing_s": time.perf_counter() - t0,
-    }, out_path, fmt, tsv_lines=tsv)
+    }, out_path, fmt, tsv=tsv)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--a", "a_text", required=True)
-@click.option("--b", "b_text", required=True)
-@click.option("--given", "given_text", default="")
+@click.option("--a", type=_AGENTS, required=True)
+@click.option("--b", type=_AGENTS, required=True)
+@click.option("--given", type=_AGENTS, default="")
 @_add_options(_ctx_opts)
 @_add_options(_out_opts)
-def ci(model_path, builtin_name, a_text, b_text, given_text,
+def ci(model_path, builtin_name, a, b, given,
        pin_nature, pin_decision, context_file, out_path, fmt):
     """Exact conditional independence test; exit 0 independent, 1 not."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     if m.canonical_profile is None or m.prior is None:
-        _fail_usage("ci needs a model with policies and a prior")
+        raise FieldcoreError("ci needs a model with policies and a prior")
     ctx = _context_from_options(m, pin_nature, pin_decision, context_file)
     t0 = time.perf_counter()
-    try:
-        res = cond_independent(
-            pushforward(m, m.canonical_profile),
-            CoordinateMask(frozenset(), frozenset(_agent_list(a_text))),
-            CoordinateMask(frozenset(), frozenset(_agent_list(b_text))),
-            CoordinateMask(frozenset(), frozenset(_agent_list(given_text))),
-            ctx,
-        )
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    _emit({
-        "format_version": FORMAT_VERSION,
-        "kind": "conditional-independence",
-        "query": {"a": _agent_list(a_text), "b": _agent_list(b_text),
-                  "given": _agent_list(given_text)},
+    res = cond_independent(pushforward(m, m.canonical_profile),
+                           _decisions(a), _decisions(b), _decisions(given), ctx)
+    _report("conditional-independence", t0, {
+        "query": {"a": a, "b": b, "given": given},
         "verdict": "independent" if res.independent else "dependent",
         "witness": list(res.witness) if res.witness else None,
-        "timing_s": time.perf_counter() - t0,
-    }, out_path, fmt)
-    sys.exit(0 if res.independent else 1)
+    }, out_path, fmt, ok=res.independent)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--y", "y_text", required=True)
-@click.option("--z", "z_text", required=True)
-@click.option("--w", "w_text", default="")
-@click.option("--policy-trials", type=int, default=50)
-@click.option("--prior-trials", type=int, default=3)
-@click.option("--seed", type=int, default=0)
+@click.option("--y", type=_AGENTS, required=True)
+@click.option("--z", type=_AGENTS, required=True)
+@click.option("--w", type=_AGENTS, default="")
+@click.option("--policy-trials", type=_COUNT, default=50)
+@click.option("--prior-trials", type=_COUNT, default=3)
+@click.option("--seed", type=_COUNT, default=0)
 @_add_options(_ctx_opts)
 @_add_options(_out_opts)
-def docalc(model_path, builtin_name, y_text, z_text, w_text,
-           policy_trials, prior_trials, seed,
+def docalc(model_path, builtin_name, y, z, w, policy_trials, prior_trials, seed,
            pin_nature, pin_decision, context_file, out_path, fmt):
     """Randomized exact verification of the one-rule do-calculus."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     ctx = _context_from_options(m, pin_nature, pin_decision, context_file)
     t0 = time.perf_counter()
-    try:
-        rep = verify_docalculus(
-            m, _agent_list(y_text), _agent_list(z_text), _agent_list(w_text), ctx,
-            policy_trials=policy_trials, prior_trials=prior_trials, seed=seed,
-        )
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    _emit(_docalc_doc(rep, t0), out_path, fmt)
-    sys.exit(0 if (rep.separated and rep.ok) else 1)
+    rep = verify_docalculus(m, y, z, w, ctx, policy_trials=policy_trials,
+                            prior_trials=prior_trials, seed=seed)
+    _docalc_report(rep, t0, out_path, fmt)
 
 
-def _docalc_doc(rep, t0) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "do-calculus",
+def _docalc_report(rep, t0, out_path, fmt):
+    """The report of `docalc` and `rule1`; exit 0 iff separated and verified."""
+    _report("do-calculus", t0, {
         "query": {"y": sorted(rep.y), "z": sorted(rep.z), "w": sorted(rep.w)},
         "verdict": "SEPARATED" if rep.separated else "NOT SEPARATED",
         "certificate": _cert_doc(rep.certificate),
@@ -747,102 +690,72 @@ def _docalc_doc(rep, t0) -> dict:
         "skipped_unsolvable_profiles": rep.skipped_unsolvable,
         "skipped_zero_mass_contexts": rep.skipped_zero_mass,
         "ci_violations_observed": rep.ci_violations_observed,
-        "timing_s": time.perf_counter() - t0,
-    }
+    }, out_path, fmt, ok=rep.separated and rep.ok)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--y", "y_text", required=True)
-@click.option("--z", "z_text", required=True)
-@click.option("--x", "x_text", default="")
+@click.option("--y", type=_AGENTS, required=True)
+@click.option("--z", type=_AGENTS, required=True)
+@click.option("--x", type=_AGENTS, default="")
 @click.option("--pin-decision", multiple=True, metavar="AGENT=LABEL", required=True,
               help="Pinned context coordinates (the tilde set).")
-@click.option("--policy-trials", type=int, default=50)
-@click.option("--prior-trials", type=int, default=3)
-@click.option("--seed", type=int, default=0)
+@click.option("--policy-trials", type=_COUNT, default=50)
+@click.option("--prior-trials", type=_COUNT, default=3)
+@click.option("--seed", type=_COUNT, default=0)
 @_add_options(_out_opts)
-def rule1(model_path, builtin_name, y_text, z_text, x_text, pin_decision,
+def rule1(model_path, builtin_name, y, z, x, pin_decision,
           policy_trials, prior_trials, seed, out_path, fmt):
     """Conditioning-removal rule under a pinned decision context."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     t0 = time.perf_counter()
-    try:
-        rep = verify_rule1_tikka(
-            m, _agent_list(y_text), _agent_list(z_text), _agent_list(x_text),
-            _parse_pins(pin_decision),
-            policy_trials=policy_trials, prior_trials=prior_trials, seed=seed,
-        )
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    _emit(_docalc_doc(rep, t0), out_path, fmt)
-    sys.exit(0 if (rep.separated and rep.ok) else 1)
+    rep = verify_rule1_tikka(m, y, z, x, _parse_pins(pin_decision),
+                             policy_trials=policy_trials, prior_trials=prior_trials,
+                             seed=seed)
+    _docalc_report(rep, t0, out_path, fmt)
 
 
 @main.command(name="intervene")
 @_add_options(_model_opts)
-@click.option("--target", "target_text", required=True,
+@click.option("--target", type=_AGENTS, required=True,
               help="Comma-separated target agents.")
 @click.option("--switch-prob", default="1/2", help="Mass of switch value 1, as p/q.")
 @click.option("--switch-agent", default="I")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-def intervene_cmd(model_path, builtin_name, target_text, switch_prob,
-                  switch_agent, out_path):
+def intervene_cmd(model_path, builtin_name, target, switch_prob, switch_agent, out_path):
     """Add an intervention switch (nature-only replacement fields)."""
-    m = _get_model(model_path, builtin_name)
-    targets = _agent_list(target_text)
-    try:
-        repl = {
-            z: InformationField.from_mask(
-                m.space, z, CoordinateMask(frozenset({z}), frozenset())
-            )
-            for z in targets
-        }
-        spec = InterventionSpec(
-            tuple(targets), repl,
-            switch_prob=_parse_fraction(switch_prob), switch_agent=switch_agent,
-        )
-        m2 = intervene(m, spec)
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_doc(m2), fh, indent=2)
-        fh.write("\n")
+    m = _model(model_path, builtin_name)
+    repl = {
+        z: InformationField.from_mask(m.space, z, CoordinateMask(frozenset({z}), frozenset()))
+        for z in target
+    }
+    spec = InterventionSpec(tuple(target), repl, switch_prob=_parse_fraction(switch_prob),
+                            switch_agent=switch_agent)
+    _write(json.dumps(model_to_doc(intervene(m, spec)), indent=2) + "\n", out_path)
 
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--max-agents", type=int, default=5)
+@click.option("--max-agents", type=_COUNT, default=5)
 @_add_options(_out_opts)
 def causality(model_path, builtin_name, max_agents, out_path, fmt):
     """Search for a causal configuration-ordering; exit 0 found, 1 none."""
-    m = _get_model(model_path, builtin_name)
+    m = _model(model_path, builtin_name)
     t0 = time.perf_counter()
-    try:
-        phi = find_causal_ordering(m, max_agents=max_agents,
-                                   max_configs=m.space.n_configs)
-    except FieldcoreError as e:
-        _fail_usage(str(e))
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "causality",
-        "verdict": "causal ordering found" if phi is not None
-                   else "no causal ordering found (exhaustive)",
-        "timing_s": time.perf_counter() - t0,
-    }
+    phi = find_causal_ordering(m, max_agents=max_agents, max_configs=m.space.n_configs)
+    doc = {"verdict": "causal ordering found" if phi is not None
+           else "no causal ordering found (exhaustive)"}
     if phi is not None:
-        sample = phi.ordering_at(0)
-        doc["ordering_at_first_configuration"] = list(sample)
+        doc["ordering_at_first_configuration"] = list(phi.ordering_at(0))
         doc["constant"] = bool(np.all(phi.orders == phi.orders[0]))
-    _emit(doc, out_path, fmt)
-    sys.exit(0 if phi is not None else 1)
+    _report("causality", t0, doc, out_path, fmt, ok=phi is not None)
 
 
 @main.command()
 @click.argument("scenario", type=click.Choice(
     ["table1", "fig2", "fig3", "fig4", "equivalence"]
 ))
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=_COUNT, default=0)
 @_add_options(_out_opts)
 def reproduce(scenario, seed, out_path, fmt):
     """Golden scenarios; exit 0 iff every compared value matches."""
@@ -855,34 +768,27 @@ def reproduce(scenario, seed, out_path, fmt):
         "equivalence": lambda: _reproduce_equivalence(seed),
     }[scenario]
     passed, doc = runner()
-    doc.update({
-        "format_version": FORMAT_VERSION,
-        "kind": f"reproduce-{scenario}",
-        "verdict": "pass" if passed else "FAIL",
-        "timing_s": time.perf_counter() - t0,
-    })
-    _emit(doc, out_path, fmt)
-    sys.exit(0 if passed else 1)
+    _report(f"reproduce-{scenario}", t0, {**doc, "verdict": "pass" if passed else "FAIL"},
+            out_path, fmt, ok=passed)
 
 
 def _reproduce_table1():
     res = reproduce_table1()
-    doc = {
+
+    def rows(table):
+        return [
+            {"key": list(r.key), "shown": list(r.shown), "expected": list(r.expected),
+             "exact": [str(v) for v in r.exact]}
+            for r in table
+        ]
+
+    return res.passed, {
         "cells_compared": 2 * (len(res.rows_a) + len(res.rows_b)),
         "columns_exactly_equal": res.columns_a_exactly_equal,
         "row_b_01_differs": res.row_b_01_differs,
-        "table_a": [
-            {"key": list(r.key), "shown": list(r.shown), "expected": list(r.expected),
-             "exact": [str(v) for v in r.exact]}
-            for r in res.rows_a
-        ],
-        "table_b": [
-            {"key": list(r.key), "shown": list(r.shown), "expected": list(r.expected),
-             "exact": [str(v) for v in r.exact]}
-            for r in res.rows_b
-        ],
+        "table_a": rows(res.rows_a),
+        "table_b": rows(res.rows_b),
     }
-    return res.passed, doc
 
 
 def _reproduce_fig2():

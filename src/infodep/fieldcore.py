@@ -77,9 +77,6 @@ class CoordinateMask:
         object.__setattr__(self, "nature", frozenset(self.nature))
         object.__setattr__(self, "decision", frozenset(self.decision))
 
-    def union(self, other: "CoordinateMask") -> "CoordinateMask":
-        return CoordinateMask(self.nature | other.nature, self.decision | other.decision)
-
     def intersection(self, other: "CoordinateMask") -> "CoordinateMask":
         return CoordinateMask(self.nature & other.nature, self.decision & other.decision)
 
@@ -336,15 +333,9 @@ class ConfigSet:
     def is_full(self) -> bool:
         return bool(self.member_mask.all())
 
-    def complement(self) -> "ConfigSet":
-        return ConfigSet(self.space, ~self.member_mask)
-
     def intersection(self, other: "ConfigSet") -> "ConfigSet":
         _require_same_space(self.space, other.space)
         return ConfigSet(self.space, self.member_mask & other.member_mask)
-
-    def contains_index(self, index: int) -> bool:
-        return bool(self.member_mask[index])
 
     def __eq__(self, other):
         return (

@@ -166,9 +166,6 @@ class WModel:
         """(per-agent field atoms, per-agent own decision values), both (A, N)."""
         return self._kernel_arrays
 
-    def full_context(self) -> ConfigSet:
-        return ConfigSet.full(self.space)
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -423,10 +420,8 @@ def intervene(m: WModel, spec: InterventionSpec) -> WModel:
             raw = np.where(switch == 0, base_atoms, offset + repl_atoms)
             info[a] = InformationField(a, partition_from_codes(new_space, raw))
         else:
-            mask = m.info[a].mask
-            lifted_mask = mask if mask is not None else None
             info[a] = InformationField(
-                a, partition_from_codes(new_space, base_atoms), lifted_mask
+                a, partition_from_codes(new_space, base_atoms), m.info[a].mask
             )
     info[i_name] = InformationField.from_mask(
         new_space, i_name, CoordinateMask(frozenset({i_name}), frozenset())

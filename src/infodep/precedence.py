@@ -73,10 +73,6 @@ class PrecedenceRelation:
     def converse(self) -> "PrecedenceRelation":
         return PrecedenceRelation(self.agents, self.matrix.T)
 
-    def union(self, other: "PrecedenceRelation") -> "PrecedenceRelation":
-        self._check_compatible(other)
-        return PrecedenceRelation(self.agents, self.matrix | other.matrix)
-
     def compose(self, other: "PrecedenceRelation") -> "PrecedenceRelation":
         """(b, a) in self.compose(other) iff b self d and d other a for some d."""
         self._check_compatible(other)
@@ -112,9 +108,6 @@ class PrecedenceRelation:
 
     def __hash__(self):
         return hash((self.agents, self.matrix.tobytes()))
-
-    def as_dict(self) -> dict[str, frozenset[str]]:
-        return {a: self.predecessors(a) for a in self.agents}
 
 
 @dataclass(frozen=True)
@@ -216,15 +209,14 @@ def closure(
     ctx: ConfigSet | None = None,
     relation: PrecedenceRelation | None = None,
 ) -> frozenset[str]:
-    """Least superset of b closed under conditional predecessors."""
+    """Least superset of b closed under conditional predecessors.
+
+    That is the foreset of b under the reflexive-transitive closure of the
+    relation.
+    """
     b = _as_agent_set(m, b, "B")
     rel = relation if relation is not None else precedes(m, w, ctx)
-    current = set(b)
-    while True:
-        grown = current | rel.foreset(current)
-        if grown == current:
-            return frozenset(current)
-        current = grown
+    return rel.reflexive_transitive_closure().foreset(b)
 
 
 def is_closed(

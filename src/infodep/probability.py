@@ -16,7 +16,6 @@ import numpy as np
 
 from .fieldcore import (
     ConfigSet,
-    Configuration,
     CoordinateMask,
     FieldcoreError,
 )
@@ -53,9 +52,6 @@ class ExactDist:
         if sum(clean.values(), Fraction(0)) != 1:
             raise FieldcoreError("total mass must equal one exactly")
         object.__setattr__(self, "support", clean)
-
-    def mass_of(self, cfg: Configuration) -> Fraction:
-        return self.support.get(self.space.index_of(cfg), Fraction(0))
 
     def mass_in(self, ctx: ConfigSet) -> Fraction:
         return sum(

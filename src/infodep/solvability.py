@@ -449,15 +449,6 @@ class FactorizationReport:
         return all(c.passed for c in self.checks)
 
 
-def _omega_coord(space, agent: str, omega_indices: np.ndarray) -> np.ndarray:
-    stride, size = 1, space.nature[agent].size
-    for a in space.agents:
-        if a == agent:
-            break
-        stride *= space.nature[a].size
-    return (omega_indices // stride) % size
-
-
 def verify_factorization(
     m: "WModel",
     profile: PolicyProfile,
@@ -524,7 +515,8 @@ def verify_factorization(
         return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
 
     def om_of(agents: frozenset[str]) -> np.ndarray:
-        cols = [_omega_coord(space, a, omega) for a in space.agents if a in agents]
+        # a configuration index below n_omega has u = 0, so it reads as omega
+        cols = [space.coord_values(("n", a))[omega] for a in space.agents if a in agents]
         return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
 
     def witness(i, j) -> tuple[dict, dict]:

@@ -254,6 +254,43 @@ class TestQueryCommands:
         assert doc["predecessors"]["b"] == []
 
 
+XOR_Q = ("--builtin", "witsenhausen-xor", "--y", "X3", "--z", "X4")
+TIKKA_Q = ("--builtin", "tikka-context", "--y", "b", "--z", "a", "--pin-decision", "s=0")
+
+# "{missing}" is a path inside a directory that does not exist
+USAGE_ERRORS = {
+    "solve-negative-sample": ("solve", "--builtin", "witsenhausen-xor", "--sample", "-3"),
+    "solve-negative-seed": ("solve", "--builtin", "witsenhausen-xor", "--sample", "2",
+                            "--seed", "-1"),
+    "docalc-negative-policy-trials": ("docalc", *XOR_Q, "--policy-trials", "-1"),
+    "docalc-negative-prior-trials": ("docalc", *XOR_Q, "--prior-trials", "-1"),
+    "docalc-negative-seed": ("docalc", *XOR_Q, "--seed", "-5"),
+    "rule1-negative-policy-trials": ("rule1", *TIKKA_Q, "--policy-trials", "-1"),
+    "rule1-negative-seed": ("rule1", *TIKKA_Q, "--seed", "-1"),
+    "reproduce-negative-seed": ("reproduce", "fig2", "--seed", "-1"),
+    "causality-negative-max-agents": ("causality", "--builtin", "common-cause",
+                                      "--max-agents", "-1"),
+    "validate-unwritable-out": ("validate", "--builtin", "kuh", "--out", "{missing}"),
+    "export-unwritable-out": ("export", "--builtin", "kuh", "--out", "{missing}"),
+    "intervene-unwritable-out": ("intervene", "--builtin", "common-cause", "--target", "T",
+                                 "--out", "{missing}"),
+    "separate-unwritable-out": ("separate", *XOR_Q, "--w", "X0,X1,X2", "--out", "{missing}"),
+    "precedence-tsv-unwritable-out": ("precedence", "--builtin", "kuh", "--format", "tsv",
+                                      "--out", "{missing}"),
+}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_exits_2_without_traceback(self, runner, tmp_path, case):
+        missing = str(tmp_path / "no-such-dir" / "out.json")
+        res = invoke(runner, *(a.replace("{missing}", missing) for a in USAGE_ERRORS[case]))
+        assert res.exit_code == 2
+        assert "error:" in res.stderr.lower()
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "no-such-dir").exists()
+
+
 class TestSeededReproducibility:
     def test_docalc_identical_under_seed(self, runner):
         outs = []

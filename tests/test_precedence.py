@@ -131,6 +131,13 @@ class TestClosure:
         assert cl_b <= cl_c                               # monotone
         assert closure(m, cl_b, w, ctx, relation=rel) == cl_b  # idempotent
         assert closure(m, (), w, ctx, relation=rel) == frozenset()
+        # least: the intersection of every closed superset of b
+        closed_supersets = [
+            s for s in (frozenset(a for k, a in enumerate(agents) if bits >> k & 1)
+                        for bits in range(1 << len(agents)))
+            if b <= s and is_closed(m, s, w, ctx, relation=rel)
+        ]
+        assert cl_b == frozenset.intersection(*closed_supersets)
         assert is_open(m, w, w, ctx, relation=rel)        # W itself is open
         assert is_closed(m, agents, w, ctx, relation=rel)
         # arbitrary unions of closed sets stay closed

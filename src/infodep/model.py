@@ -13,6 +13,7 @@ original atoms (switch 0) and the replacement atoms (switch 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -58,6 +59,15 @@ class InformationField:
         return InformationField(owner, partition_from_observation(space, obs), None)
 
 
+def weight_dtype(denom: int):
+    """int64 when products of two weights over `denom` fit, Python ints otherwise.
+
+    Exact tests compare products of two masses, so weights over D stay int64
+    only while D**2 < 2**62.
+    """
+    return np.int64 if denom < 2 ** 31 else object
+
+
 @dataclass(frozen=True)
 class Prior:
     """Product prior over nature: exact rational mass per coordinate label."""
@@ -78,13 +88,30 @@ class Prior:
     def mass(self, agent: str, label: str) -> Fraction:
         return self.masses[agent].get(label, Fraction(0))
 
+    def omega_weights(self, space: ConfigSpace) -> tuple[np.ndarray, int]:
+        """Integer weight of every nature point over one common denominator.
+
+        Each agent's masses become numerators over that agent's least common
+        denominator; the weights are their mixed-radix outer product, agent 0
+        the fastest digit as in `ConfigSpace.omega_labels_at`, and the
+        denominator D is the product of the agents' denominators.  The
+        weights have the dtype `weight_dtype(D)`.
+        """
+        factors, denom = [], 1
+        for a in space.agents:
+            masses = [self.mass(a, lab) for lab in space.nature[a].elements]
+            lcd = math.lcm(*(p.denominator for p in masses))
+            factors.append([p.numerator * (lcd // p.denominator) for p in masses])
+            denom *= lcd
+        dtype = weight_dtype(denom)
+        weights = np.ones(1, dtype=dtype)
+        for f in factors:
+            weights = np.multiply.outer(np.array(f, dtype=dtype), weights).ravel()
+        return weights, denom
+
     def omega_mass(self, space: ConfigSpace, omega_index: int) -> Fraction:
-        out = Fraction(1)
-        for agent, label in space.omega_labels_at(omega_index).items():
-            out *= self.mass(agent, label)
-            if out == 0:
-                return out
-        return out
+        weights, denom = self.omega_weights(space)
+        return Fraction(int(weights[omega_index]), denom)
 
     @staticmethod
     def uniform(space: ConfigSpace) -> "Prior":

@@ -15,6 +15,7 @@ the 2^|W| splittings of W in canonical binary order for disjoint closures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -95,7 +96,9 @@ class PrecedenceRelation:
             m |= np.outer(m[:, k], m[k, :])
         return PrecedenceRelation(self.agents, m)
 
+    @cached_property
     def reflexive_transitive_closure(self) -> "PrecedenceRelation":
+        """Computed once per relation; `closure` and separation queries share it."""
         m = self.transitive_closure().matrix | np.eye(len(self.agents), dtype=bool)
         return PrecedenceRelation(self.agents, m)
 
@@ -216,7 +219,7 @@ def closure(
     """
     b = _as_agent_set(m, b, "B")
     rel = relation if relation is not None else precedes(m, w, ctx)
-    return rel.reflexive_transitive_closure().foreset(b)
+    return rel.reflexive_transitive_closure.foreset(b)
 
 
 def is_closed(
@@ -265,7 +268,7 @@ def topologically_separated(
     rel = relation if relation is not None else precedes(m, w, ctx)
     # The closure of B is the foreset of the reflexive-transitive closure,
     # so one matrix closure serves every splitting.
-    rstar = rel.reflexive_transitive_closure()
+    rstar = rel.reflexive_transitive_closure
     w_sorted = [a for a in m.agents if a in w]
     for bits in range(1 << len(w_sorted)):
         w_y = frozenset(a for k, a in enumerate(w_sorted) if bits >> k & 1)

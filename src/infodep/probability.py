@@ -1,15 +1,25 @@
 """Exact rational probability on configuration spaces.
 
-Every mass is a `fractions.Fraction`; conditionals, independence tests and
-the theorem verifiers below therefore decide equalities exactly, with no
-tolerances.  Decimal display (3 places, truncated toward zero, trailing
-zeros stripped) happens only at the table-reproduction boundary.
+A law is a set of integer weights over one common denominator.  The prior
+gives each nature point an integer weight over D (`Prior.omega_weights`),
+and a solvable profile carries each weight to its configuration.  Masses,
+conditionals and independence are decided on integers: cells are summed
+with `np.add.at` and equalities are tested by cross-multiplication, with no
+float and no tolerance anywhere.  Weights are int64 while D < 2**31, so that
+every product of two sums fits, and Python ints beyond that
+(`model.weight_dtype`).
+
+`Fraction` values appear only at the edge: `ExactDist.support`,
+`ConditionalTable.rows`, `project_dist`, the witnesses and the decimal
+display of the table reproduction (3 places, truncated toward zero,
+trailing zeros stripped).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -19,7 +29,7 @@ from .fieldcore import (
     CoordinateMask,
     FieldcoreError,
 )
-from .model import Prior, WModel, builtin
+from .model import Prior, WModel, builtin, weight_dtype
 from .precedence import (
     SeparationCertificate,
     closure as topo_closure,
@@ -28,6 +38,7 @@ from .precedence import (
 )
 from .solvability import (
     PolicyProfile,
+    SolutionMap,
     UnsolvableProfileError,
     sample_profiles,
     solve,
@@ -40,22 +51,40 @@ class ZeroMassContextError(FieldcoreError):
 
 @dataclass(frozen=True)
 class ExactDist:
-    """Rational probability mass over configurations (support only)."""
+    """Exact law over configurations: positive integer weights over `denom`.
+
+    Configuration `index[k]` has mass `weights[k] / denom`; a pushforward
+    lists its support in nature-point order.
+    """
 
     space: object
-    support: Mapping[int, Fraction]
+    index: np.ndarray
+    weights: np.ndarray
+    denom: int
 
     def __post_init__(self):
-        clean = {int(i): Fraction(p) for i, p in self.support.items() if p != 0}
-        if any(p < 0 for p in clean.values()):
-            raise FieldcoreError("negative mass")
-        if sum(clean.values(), Fraction(0)) != 1:
+        weights = np.asarray(self.weights, dtype=weight_dtype(self.denom))
+        if not np.all(weights > 0):
+            raise FieldcoreError("support weights must be positive")
+        if weights.sum() != self.denom:
             raise FieldcoreError("total mass must equal one exactly")
-        object.__setattr__(self, "support", clean)
+        object.__setattr__(self, "index", np.asarray(self.index, dtype=np.int64))
+        object.__setattr__(self, "weights", weights)
+
+    @cached_property
+    def support(self) -> dict[int, Fraction]:
+        """Configuration index -> exact mass."""
+        return {int(i): Fraction(int(p), self.denom)
+                for i, p in zip(self.index, self.weights)}
 
     def mass_in(self, ctx: ConfigSet) -> Fraction:
-        return sum(
-            (p for i, p in self.support.items() if ctx.member_mask[i]), Fraction(0)
+        return Fraction(int(self.weights[ctx.member_mask[self.index]].sum()), self.denom)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ExactDist)
+            and self.space == other.space
+            and self.support == other.support
         )
 
 
@@ -78,22 +107,62 @@ def pushforward(m: WModel, profile: PolicyProfile, prior: Prior | None = None) -
             f"profile is not solvable: nature point {m.space.omega_labels_at(bad)}"
             f" admits {int(sol.counts[bad])} solutions"
         )
-    support: dict[int, Fraction] = {}
-    for om in range(m.space.n_omega):
-        mass = prior.omega_mass(m.space, om)
-        if mass == 0:
-            continue
-        i = int(sol.config_index[om])
-        support[i] = support.get(i, Fraction(0)) + mass
-    return ExactDist(m.space, support)
+    return _law(m.space, sol, *prior.omega_weights(m.space))
 
 
-def _key_of(space, coords, index: int) -> tuple[str, ...]:
-    out = []
-    for coord in coords:
-        sp = space.coord_space(coord)
-        out.append(sp.elements[int(space.coord_values(coord)[index])])
-    return tuple(out)
+def _law(space, sol: SolutionMap, weights: np.ndarray, denom: int) -> ExactDist:
+    """Carry nature-point weights through a solvable profile's solution.
+
+    A configuration index is omega + n_omega * u, so no two nature points
+    share a configuration and each weight lands on its own.
+    """
+    keep = weights > 0
+    return ExactDist(space, sol.config_index[keep], weights[keep], denom)
+
+
+# ---------------------------------------------------------------------------
+# cells: codes of masked coordinates on the support, summed on integers
+# ---------------------------------------------------------------------------
+
+def _inside(d: ExactDist, ctx: ConfigSet | None) -> tuple[np.ndarray, np.ndarray]:
+    """Support indices and weights inside the context."""
+    if ctx is None:
+        return d.index, d.weights
+    keep = ctx.member_mask[d.index]
+    return d.index[keep], d.weights[keep]
+
+
+def _codes(space, coords, index: np.ndarray) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of the coordinates at each configuration, and its range."""
+    code = np.zeros(len(index), dtype=np.int64)
+    stride = 1
+    for c in coords:
+        code += space.coord_values(c)[index] * stride
+        stride *= space.coord_space(c).size
+    return code, stride
+
+
+def _first_occurrence(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes renumbered 0, 1, ... by first occurrence, and each one's first position."""
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _sums(code: np.ndarray, n: int, weights: np.ndarray) -> np.ndarray:
+    """Total weight of each of the n codes, in the weights' integer dtype."""
+    out = np.zeros(n, dtype=weights.dtype)
+    np.add.at(out, code, weights)
+    return out
+
+
+def _keys(space, coords, configs: np.ndarray) -> list[tuple[str, ...]]:
+    """Label tuple of the coordinates at each configuration."""
+    cols = [np.array(space.coord_space(c).elements, dtype=object)[
+        space.coord_values(c)[configs]] for c in coords]
+    return list(zip(*cols)) if cols else [()] * len(configs)
 
 
 @dataclass(frozen=True)
@@ -115,27 +184,24 @@ class ConditionalTable:
 def conditional(d: ExactDist, q: CondQuery) -> ConditionalTable:
     """Exact conditional table inside the context; each row sums to one.
 
-    Rows exist only for given-values with positive mass inside the context;
-    a zero-mass context yields an empty, flagged table.
+    Rows exist only for given-values with positive mass inside the context,
+    in first-occurrence order, and so do the targets within a row; a
+    zero-mass context yields an empty, flagged table.
     """
     space = d.space
     t_coords = space.mask_coords(q.target)
     g_coords = space.mask_coords(q.given)
-    ctx = q.context if q.context is not None else ConfigSet.full(space)
-    joint: dict[tuple, dict[tuple, Fraction]] = {}
-    totals: dict[tuple, Fraction] = {}
-    for i, p in d.support.items():
-        if not ctx.member_mask[i]:
-            continue
-        g = _key_of(space, g_coords, i)
-        t = _key_of(space, t_coords, i)
-        row = joint.setdefault(g, {})
-        row[t] = row.get(t, Fraction(0)) + p
-        totals[g] = totals.get(g, Fraction(0)) + p
-    rows = {
-        g: {t: p / totals[g] for t, p in row.items()}
-        for g, row in joint.items()
-    }
+    index, weights = _inside(d, q.context)
+    g, g_first = _first_occurrence(_codes(space, g_coords, index)[0])
+    t_code, t_range = _codes(space, t_coords, index)
+    cell, cell_first = _first_occurrence(g * t_range + t_code)
+    joint = _sums(cell, len(cell_first), weights)
+    total = _sums(g, len(g_first), weights)
+    configs = index[cell_first]
+    rows: dict[tuple, dict[tuple, Fraction]] = {}
+    for g_key, t_key, j, k in zip(_keys(space, g_coords, configs),
+                                  _keys(space, t_coords, configs), joint, g[cell_first]):
+        rows.setdefault(g_key, {})[t_key] = Fraction(int(j), int(total[k]))
     return ConditionalTable(t_coords, g_coords, rows, empty_context=not rows)
 
 
@@ -152,37 +218,49 @@ def cond_independent(
     given_mask: CoordinateMask,
     ctx: ConfigSet | None = None,
 ) -> CIResult:
-    """Exact test: joint conditional equals the product of the marginals."""
+    """Exact test: joint conditional equals the product of the marginals.
+
+    For every given-value g with mass in the context and every a and b seen
+    with g, joint(g, a, b) * total(g) == p(g, a) * p(g, b) on integers.  The
+    witness is the first failing cell with g in first-occurrence order, then
+    a and b in the first-occurrence order of (g, a) and (g, b).
+    """
     space = d.space
-    ctx = ctx if ctx is not None else ConfigSet.full(space)
     a_coords = space.mask_coords(a_mask)
     b_coords = space.mask_coords(b_mask)
     g_coords = space.mask_coords(given_mask)
-    cells: dict[tuple, dict[tuple[tuple, tuple], Fraction]] = {}
-    totals: dict[tuple, Fraction] = {}
-    for i, p in d.support.items():
-        if not ctx.member_mask[i]:
-            continue
-        g = _key_of(space, g_coords, i)
-        ab = (_key_of(space, a_coords, i), _key_of(space, b_coords, i))
-        row = cells.setdefault(g, {})
-        row[ab] = row.get(ab, Fraction(0)) + p
-        totals[g] = totals.get(g, Fraction(0)) + p
-    if not cells:
+    index, weights = _inside(d, ctx)
+    if not len(index):
         raise ZeroMassContextError("conditioning context has zero mass")
-    for g, row in cells.items():
-        tot = totals[g]
-        a_marg: dict[tuple, Fraction] = {}
-        b_marg: dict[tuple, Fraction] = {}
-        for (a, b), p in row.items():
-            a_marg[a] = a_marg.get(a, Fraction(0)) + p
-            b_marg[b] = b_marg.get(b, Fraction(0)) + p
-        for a, pa in a_marg.items():
-            for b, pb in b_marg.items():
-                joint = row.get((a, b), Fraction(0))
-                if joint * tot != pa * pb:
-                    return CIResult(False, (g, a, b))
-    return CIResult(True)
+    g, g_first = _first_occurrence(_codes(space, g_coords, index)[0])
+    a_code, a_range = _codes(space, a_coords, index)
+    b_code, b_range = _codes(space, b_coords, index)
+    ga, ga_first = _first_occurrence(g * a_range + a_code)
+    gb, gb_first = _first_occurrence(g * b_range + b_code)
+    cell, cell_first = _first_occurrence(ga * len(gb_first) + gb)
+    total = _sums(g, len(g_first), weights)
+    pa = _sums(ga, len(ga_first), weights)
+    pb = _sums(gb, len(gb_first), weights)
+    joint = _sums(cell, len(cell_first), weights)
+    cell_g, cell_a, cell_b = g[cell_first], ga[cell_first], gb[cell_first]
+    ok = joint * total[cell_g] == pa[cell_a] * pb[cell_b]
+    # An (a, b) pair never seen with g has joint 0 < p(g, a) * p(g, b).  If
+    # every seen cell of row (g, a) passed, the row's p(g, b) would sum to
+    # total(g), so a row with an unseen cell also has a failing seen one.
+    if ok.all():
+        return CIResult(True)
+    bad_g = cell_g[~ok].min()
+    rows = np.flatnonzero(g[ga_first] == bad_g)
+    cols = np.flatnonzero(g[gb_first] == bad_g)
+    # unseen cells stay False
+    grid = np.zeros((len(rows), len(cols)), dtype=bool)
+    here = cell_g == bad_g
+    grid[np.searchsorted(rows, cell_a[here]), np.searchsorted(cols, cell_b[here])] = ok[here]
+    r, c = np.argwhere(~grid)[0]
+    (g_key,) = _keys(space, g_coords, index[g_first[[bad_g]]])
+    (a_key,) = _keys(space, a_coords, index[ga_first[[rows[r]]]])
+    (b_key,) = _keys(space, b_coords, index[gb_first[[cols[c]]]])
+    return CIResult(False, (g_key, a_key, b_key))
 
 
 def _decision_mask(agents: Iterable[str]) -> CoordinateMask:
@@ -191,22 +269,20 @@ def _decision_mask(agents: Iterable[str]) -> CoordinateMask:
 
 def restrict(d: ExactDist, ctx: ConfigSet) -> ExactDist:
     """Exact renormalized restriction of the law to a configuration set."""
-    total = d.mass_in(ctx)
+    index, weights = _inside(d, ctx)
+    total = int(weights.sum())
     if total == 0:
         raise ZeroMassContextError("restriction to a zero-mass set")
-    return ExactDist(d.space, {
-        i: p / total for i, p in d.support.items() if ctx.member_mask[i]
-    })
+    return ExactDist(d.space, index, weights, total)
 
 
 def project_dist(d: ExactDist, mask: CoordinateMask) -> dict[tuple, Fraction]:
-    """Marginal law of the masked coordinates."""
+    """Marginal law of the masked coordinates, in first-occurrence order."""
     coords = d.space.mask_coords(mask)
-    out: dict[tuple, Fraction] = {}
-    for i, p in d.support.items():
-        k = _key_of(d.space, coords, i)
-        out[k] = out.get(k, Fraction(0)) + p
-    return out
+    code, first = _first_occurrence(_codes(d.space, coords, d.index)[0])
+    sums = _sums(code, len(first), d.weights)
+    return {k: Fraction(int(p), d.denom)
+            for k, p in zip(_keys(d.space, coords, d.index[first]), sums)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +361,15 @@ def verify_docalculus(
     mask_cl_z = _decision_mask(cl_z)
     mask_w_clz = _decision_mask(w | cl_z)
 
+    laws = [prior.omega_weights(m.space) for prior in priors]
     for pi, profile in enumerate(profiles):
-        if not solve(m, profile).solvable:
+        sol = solve(m, profile)
+        if not sol.solvable:
             skipped_unsolvable += 1
             continue
-        for qi, prior in enumerate(priors):
-            dist = pushforward(m, profile, prior)
-            if dist.mass_in(context) == 0:
+        for qi, (weights, denom) in enumerate(laws):
+            dist = _law(m.space, sol, weights, denom)
+            if not context.member_mask[dist.index].any():
                 skipped_zero += 1
                 continue
             ci = cond_independent(dist, mask_cl_y, mask_cl_z, mask_w, context)
@@ -313,17 +391,41 @@ def verify_docalculus(
 
 
 def _dropping_violation(dist, mask_y, mask_w, mask_w_clz, context):
-    """First exact mismatch between Q(y | w, clz, ctx) and Q(y | w, ctx), if any."""
-    t_long = conditional(dist, CondQuery(mask_y, mask_w_clz, context))
-    t_short = conditional(dist, CondQuery(mask_y, mask_w, context))
-    positions = [t_long.given_coords.index(c) for c in t_short.given_coords]
-    for g_long, row_long in t_long.rows.items():
-        g_short = tuple(g_long[i] for i in positions)
-        row_short = t_short.rows.get(g_short, {})
-        for t in set(row_long) | set(row_short):
-            if row_long.get(t, Fraction(0)) != row_short.get(t, Fraction(0)):
-                return (g_long, t, row_long.get(t, Fraction(0)), row_short.get(t, Fraction(0)))
-    return None
+    """First exact mismatch between Q(y | w, clz, ctx) and Q(y | w, ctx), if any.
+
+    Tests J(y, w, clz) * T(w) == J(y, w) * T(w, clz) on integers.  Long given
+    keys (w, clz) are visited in first-occurrence order, and the targets of
+    one in the order of their mixed-radix code.  Returns (long given key,
+    target key, long conditional mass, short conditional mass).
+    """
+    space = dist.space
+    y_coords = space.mask_coords(mask_y)
+    long_coords = space.mask_coords(mask_w_clz)
+    index, weights = _inside(dist, context)
+    y_code, y_range = _codes(space, y_coords, index)
+    gl, gl_first = _first_occurrence(_codes(space, long_coords, index)[0])
+    gs, gs_first = _first_occurrence(_codes(space, space.mask_coords(mask_w), index)[0])
+    cl, cl_first = _first_occurrence(gl * y_range + y_code)
+    cs, cs_first = _first_occurrence(gs * y_range + y_code)
+    t_long, t_short = _sums(gl, len(gl_first), weights), _sums(gs, len(gs_first), weights)
+    j_long, j_short = _sums(cl, len(cl_first), weights), _sums(cs, len(cs_first), weights)
+    short_of = gs[gl_first]  # the short key of each long key
+    cl_g, cl_s = gl[cl_first], cs[cl_first]
+    ok = j_long * t_short[short_of[cl_g]] == j_short[cl_s] * t_long[cl_g]
+    # A target of the short row missing from a long row has long mass 0.
+    # Both rows sum to one, so a long row that misses a target also has a
+    # failing target it does see.
+    if ok.all():
+        return None
+    bad = cl_g[~ok].min()
+    row = np.flatnonzero(gs[cs_first] == short_of[bad])
+    row = row[~np.isin(row, cl_s[(cl_g == bad) & ok])]
+    c = row[np.argmin(y_code[cs_first[row]])]
+    p_long = Fraction(int(j_long[(cl_g == bad) & (cl_s == c)].sum()), int(t_long[bad]))
+    p_short = Fraction(int(j_short[c]), int(t_short[short_of[bad]]))
+    (g_key,) = _keys(space, long_coords, index[gl_first[[bad]]])
+    (t_key,) = _keys(space, y_coords, index[cs_first[[c]]])
+    return (g_key, t_key, p_long, p_short)
 
 
 def verify_rule1_tikka(

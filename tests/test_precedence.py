@@ -92,7 +92,7 @@ class TestRelationAlgebra:
         assert rel.converse().holds("b", "a")
         assert rel.compose(rel).holds("a", "c")
         assert not rel.compose(rel).holds("a", "b")
-        star = rel.reflexive_transitive_closure()
+        star = rel.reflexive_transitive_closure
         assert star.holds("a", "c") and star.holds("a", "a")
 
     def test_foreset(self):
@@ -144,6 +144,23 @@ class TestClosure:
         d = frozenset(a for a in agents if rng.random() < 0.5)
         cl_d = closure(m, d, w, ctx, relation=rel)
         assert is_closed(m, cl_b | cl_d, w, ctx, relation=rel)
+
+    def test_one_matrix_closure_per_relation(self, xor_model, monkeypatch):
+        w = {"X0", "X1", "X2"}
+        rel = precedes(xor_model, w)
+        calls = []
+        original = PrecedenceRelation.transitive_closure
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PrecedenceRelation, "transitive_closure", counting)
+        cert = topologically_separated(xor_model, {"X3"}, {"X4"}, w, relation=rel)
+        split = cert.splitting
+        assert closure(xor_model, {"X3"} | split.w_y, relation=rel) == cert.closure_y
+        assert closure(xor_model, {"X4"} | split.w_z, relation=rel) == cert.closure_z
+        assert len(calls) == 1
 
     def test_x2_not_closed_in_xor(self, xor_model):
         assert not is_closed(xor_model, {"X2"})

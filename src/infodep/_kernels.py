@@ -37,23 +37,28 @@ def group_constant(codes, values, n_codes):
 # ---------------------------------------------------------------------------
 # closed-loop fixed points: config index = omega + n_omega * u.
 #
-# tables: per-agent policy tables concatenated; bases[a] locates agent a's
-# table.  atoms[a, i] is the information-field atom of config i for agent a,
-# uvals[a, i] its own decision coordinate.  A config is a fixed point when
-# every agent's table maps its atom to its own decision.
+# tables[a] holds agent a's policy table under a batch of profiles, shape
+# batch + (atom_count_a,); the batch shape is () for one profile.  atoms[a, i]
+# is the information-field atom of config i for agent a, uvals[a, i] its own
+# decision coordinate.  A config is a fixed point of a profile when every
+# agent's table maps its atom to its own decision.
 # ---------------------------------------------------------------------------
 
-def _fixed_points(tables, bases, atoms, uvals):
-    ok = np.ones(atoms.shape[1], dtype=bool)
-    for a in range(atoms.shape[0]):
-        ok &= tables[bases[a] + atoms[a]] == uvals[a]
+def _fixed_points(tables, atoms, uvals):
+    """ok[..., i]: config i is a fixed point, shape batch + (n_configs,)."""
+    ok = np.ones(tables[0].shape[:-1] + atoms.shape[1:], dtype=bool)
+    for a, table in enumerate(tables):
+        ok &= table.take(atoms[a], axis=-1) == uvals[a]
     return ok
 
 
 def solve_counts(tables, offsets, atoms, uvals, n_omega):
     """Per-omega solution counts and, where the count is exactly one, the
-    solving config index (else -1)."""
-    idx = np.flatnonzero(_fixed_points(tables, offsets, atoms, uvals))
+    solving config index (else -1).  Agent a's table is tables[offsets[a]:]
+    up to the next agent's offset."""
+    starts = offsets.tolist()
+    one = [tables[o:e] for o, e in zip(starts, starts[1:] + [len(tables)])]
+    idx = np.flatnonzero(_fixed_points(one, atoms, uvals))
     om = idx % n_omega
     counts = np.bincount(om, minlength=n_omega)
     sol = np.full(n_omega, -1, dtype=np.int64)
@@ -69,19 +74,47 @@ def solve_counts(tables, offsets, atoms, uvals, n_omega):
 # that agent (n_pols[a] tables of length atom_counts[a], at base
 # pol_offsets[a]).  Profiles are visited in mixed-radix order, agent 0 the
 # fastest digit.
+#
+# The scan runs in chunks of consecutive profiles.  A chunk decodes its
+# profile indices into per-agent policy numbers, gathers each agent's table
+# entries for every config as one (chunk, n_configs) array, and counts the
+# fixed points per omega as ok.reshape(chunk, n_u, n_omega).sum(1).  The
+# first chunk holds one profile and each next chunk twice as many, so an
+# early unsolvable profile costs about one fixed-point pass.  Chunks stop
+# growing at scan_chunk_cap(n_configs): the largest temporary, the int64
+# gather of shape (chunk, n_configs), stays within SCAN_BYTES.  A bigger
+# budget buys little speed on small configuration spaces and shows as
+# resident memory.
 # ---------------------------------------------------------------------------
+
+SCAN_BYTES = 512 * 1024
+SCAN_ITEM_BYTES = 8  # int64: gathered table entries, per-omega counts
+
+
+def scan_chunk_cap(n_configs: int) -> int:
+    """Most profiles per scan chunk; 1 when one profile alone exceeds SCAN_BYTES."""
+    return max(1, SCAN_BYTES // (SCAN_ITEM_BYTES * n_configs))
+
 
 def scan_profiles(all_tables, pol_offsets, n_pols, atom_counts,
                   atoms, uvals, n_omega, n_profiles):
     """First profile index whose closed loop is not uniquely solvable for
     some omega, or -1 when all profiles pass."""
-    for p in range(n_profiles):
-        rest, bases = p, []
-        for a in range(atoms.shape[0]):
-            k = rest % n_pols[a]
-            rest //= n_pols[a]
-            bases.append(pol_offsets[a] + k * atom_counts[a])
-        ok = _fixed_points(all_tables, bases, atoms, uvals)
-        if np.any(np.bincount(np.flatnonzero(ok) % n_omega, minlength=n_omega) != 1):
-            return p
+    per_agent = [all_tables[o:o + n * k].reshape(n, k)
+                 for o, n, k in zip(pol_offsets, n_pols, atom_counts)]
+    cap = scan_chunk_cap(atoms.shape[1])
+    start, chunk = 0, 1
+    while start < n_profiles:
+        chunk = min(chunk, cap, n_profiles - start)
+        rest = np.arange(start, start + chunk, dtype=np.int64)
+        tables = []
+        for table, n in zip(per_agent, n_pols):
+            tables.append(table[rest % n])
+            rest //= n
+        counts = _fixed_points(tables, atoms, uvals).reshape(chunk, -1, n_omega).sum(1)
+        bad = np.flatnonzero((counts != 1).any(1))
+        if bad.size:
+            return start + int(bad[0])
+        start += chunk
+        chunk *= 2
     return -1

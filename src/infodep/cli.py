@@ -356,12 +356,14 @@ def _report(kind: str, t0: float, doc: dict, out_path, fmt: str, ok=None, tsv=No
     """Write one report; for a verdict (`ok` given) exit 0 if it holds, else 1.
 
     The envelope adds `format_version`, `kind` and `timing_s` (seconds since
-    `t0`) around `doc`.  `--format tsv` writes the `tsv` lines of the commands
-    that have them and the JSON report otherwise.
+    `t0`) around `doc`.  `--format tsv` writes the `tsv` lines; a report
+    without them has no TSV form, and asking for one is a usage error.
     """
     doc = {"format_version": FORMAT_VERSION, "kind": kind, **doc,
            "timing_s": time.perf_counter() - t0}
-    if fmt == "tsv" and tsv is not None:
+    if fmt == "tsv":
+        if tsv is None:
+            raise FieldcoreError(f"the {kind} report has no TSV form; use --format report")
         text = "\n".join(tsv) + "\n"
     else:
         text = json.dumps(doc, indent=2, default=_json_default) + "\n"

@@ -137,6 +137,12 @@ class PolicyEnumeration:
     def __iter__(self) -> Iterator[Policy]:
         return (self.policy_at(k) for k in range(self._count))
 
+    def tables(self) -> np.ndarray:
+        """Every policy's table, one row per policy in canonical order."""
+        ks = np.arange(self._count, dtype=np.int64)[:, None]
+        powers = self._size ** np.arange(self._atoms, dtype=np.int64)[None, :]
+        return (ks // powers) % self._size
+
 
 def enumerate_policies(m: "WModel", agent: str,
                        cap: int = DEFAULT_POLICY_ENUM_CAP) -> PolicyEnumeration:
@@ -235,34 +241,22 @@ def is_model_solvable(
         if total > budget:
             break
     if total <= budget:
+        enums = [PolicyEnumeration(m, a, cap=budget) for a in m.agents]
+        tables = [e.tables() for e in enums]
+        n_pols = np.asarray([len(e) for e in enums], dtype=np.int64)
+        atom_counts = np.asarray([t.shape[1] for t in tables], dtype=np.int64)
         atoms, uvals = m.kernel_arrays()
-        all_tables, pol_offsets, off = [], [], 0
-        n_pols, atom_counts = [], []
-        for a in m.agents:
-            enum = PolicyEnumeration(m, a, cap=budget)
-            k = m.info[a].partition.atom_count
-            size = m.decisions[a].size
-            ks = np.arange(len(enum), dtype=np.int64)[:, None]
-            powers = size ** np.arange(k, dtype=np.int64)[None, :]
-            all_tables.append(((ks // powers) % size).ravel())
-            pol_offsets.append(off)
-            n_pols.append(len(enum))
-            atom_counts.append(k)
-            off += len(enum) * k
         bad = int(_kernels.scan_profiles(
-            np.concatenate(all_tables),
-            np.asarray(pol_offsets, dtype=np.int64),
-            np.asarray(n_pols, dtype=np.int64),
-            np.asarray(atom_counts, dtype=np.int64),
-            atoms, uvals, m.space.n_omega, total,
+            np.concatenate([t.ravel() for t in tables]),
+            np.concatenate([[0], np.cumsum(n_pols * atom_counts)[:-1]]),
+            n_pols, atom_counts, atoms, uvals, m.space.n_omega, total,
         ))
         if bad < 0:
             return SolvabilityVerdict("SOLVABLE_PROVED", total, exhaustive=True)
         rest, pols = bad, {}
-        for a in m.agents:
-            k = rest % policy_count(m, a)
-            rest //= policy_count(m, a)
-            pols[a] = PolicyEnumeration(m, a, cap=budget).policy_at(k)
+        for e in enums:
+            rest, k = divmod(rest, len(e))
+            pols[e.agent] = e.policy_at(k)
         return SolvabilityVerdict("UNSOLVABLE", bad + 1, PolicyProfile(pols), exhaustive=True)
 
     for i, profile in enumerate(sample_profiles(m, samples, seed)):

@@ -41,6 +41,8 @@ CASES = {
     "separate-not-separated": ("separate", *XOR, "--y", "X3", "--z", "X4", "--w", "X0,X1"),
     "separate-pinned": ("separate", *TIKKA, "--y", "b", "--z", "a", "--pin-decision", "s=0"),
     "separate-overlap": ("separate", *XOR, "--y", "X3", "--z", "X3"),
+    "separate-tsv": ("separate", "--builtin", "jpcbh", "--y", "X1", "--z", "X2", "--w", "Y1,Y2",
+                     "--format", "tsv"),
     "closure": ("closure", "--builtin", "kuh", "--b", "Y1,W", "--w", "W"),
     "closure-out": ("closure", "--builtin", "kuh", "--b", "Y2", "--out", "{tmp}/out.json"),
     "precedence": ("precedence", *XOR),
@@ -64,6 +66,7 @@ CASES = {
     "solve-canonical": ("solve", "--builtin", "spirtes-discrete"),
     "solve-sampled": ("solve", *XOR, "--sample", "3", "--seed", "5"),
     "solve-no-policies": ("solve", "--builtin", "kuh"),
+    "solve-tsv": ("solve", "--builtin", "spirtes-discrete", "--format", "tsv"),
     "dist": ("dist", *XOR, "--target", "X4", "--given", "X0,X1,X2,X3"),
     "dist-tsv": ("dist", *XOR, "--target", "X4", "--given", "X0,X1,X2,X3",
                  "--format", "tsv"),

@@ -331,3 +331,127 @@ class TestGroupConstantKernel:
         expected = group_constant_oracle(codes, broken, n_codes)
         assert not expected[0]
         assert _kernels.group_constant(codes, broken, n_codes) == expected
+
+
+def scan_profiles_oracle(all_tables, pol_offsets, n_pols, atom_counts,
+                         atoms, uvals, n_omega, n_profiles):
+    """Profile-by-profile loop: the reference for the chunked scan kernel."""
+    for p in range(n_profiles):
+        rest = p
+        ok = np.ones(atoms.shape[1], dtype=bool)
+        for a in range(atoms.shape[0]):
+            k = rest % n_pols[a]
+            rest //= n_pols[a]
+            ok &= all_tables[pol_offsets[a] + k * atom_counts[a] + atoms[a]] == uvals[a]
+        if np.any(np.bincount(np.flatnonzero(ok) % n_omega, minlength=n_omega) != 1):
+            return p
+    return -1
+
+
+def scan_args(tables, atoms, uvals, n_omega):
+    """scan_profiles arguments from per-agent (n_pols, atom_count) tables."""
+    n_pols = np.asarray([t.shape[0] for t in tables])
+    atom_counts = np.asarray([t.shape[1] for t in tables])
+    return (np.concatenate([t.ravel() for t in tables]),
+            np.concatenate([[0], np.cumsum(n_pols * atom_counts)[:-1]]),
+            n_pols, atom_counts, np.stack(atoms), np.stack(uvals), n_omega,
+            int(np.prod(n_pols)))
+
+
+def decision_digits(sizes, n_omega):
+    """uvals of config index omega + n_omega * u, u mixed radix (agent 0 fastest)."""
+    u = np.arange(n_omega * int(np.prod(sizes))) // n_omega
+    digits = []
+    for s in sizes:
+        digits.append(u % s)
+        u = u // s
+    return digits
+
+
+def self_observing_scan(rng, n_pols, bad_at=None, bad_kind="zero"):
+    """Scan inputs where every agent sees a random function g_a of omega and
+    its own decision, so a policy solves at omega when its map
+    v -> table[g_a(omega), v] has exactly one fixed point.  Every policy has
+    one everywhere except agent 0's policy number bad_at, which has none
+    ("zero") or one per decision value ("several") at one reachable g value.
+    The first failing profile is then bad_at, or none."""
+    sizes = rng.integers(2, 4, len(n_pols)).tolist()  # 2- and 3-valued decisions
+    n_omega = int(rng.integers(1, 4))
+    uvals = decision_digits(sizes, n_omega)
+    omega = np.arange(uvals[0].size) % n_omega
+    atoms, tables = [], []
+    for a, (s, n) in enumerate(zip(sizes, n_pols)):
+        n_g = int(rng.integers(1, 4))
+        g = rng.integers(0, n_g, n_omega)
+        atoms.append(g[omega] * s + uvals[a])
+        # v -> c for a random constant c: one fixed point
+        table = np.repeat(rng.integers(0, s, (n, n_g)), s, axis=1)
+        if a == 0 and bad_at is not None:
+            v = np.arange(s)
+            table[bad_at].reshape(n_g, s)[rng.choice(g)] = (
+                (v + 1) % s if bad_kind == "zero" else v)
+        tables.append(table)
+    return scan_args(tables, atoms, uvals, n_omega)
+
+
+class TestScanProfilesKernel:
+    # chunk edges: with the default budget a chunk starts at 2**k - 1; the
+    # small budgets cap chunks at a few profiles, off the powers of two
+    BAD_AT = (0, 1, 2, 6, 7, 8, 14, 15, 16, 17, 62, 63, 64, 65, 254, 255, 256, 257)
+
+    @pytest.mark.parametrize("budget", [None, 3 * 8 * 64])
+    @pytest.mark.parametrize("kind", ["zero", "several"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_failure_at_chunk_edges(self, monkeypatch, budget, kind, seed):
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "SCAN_BYTES", budget)
+        rng = np.random.default_rng(seed)
+        for bad_at in self.BAD_AT:
+            n_pols = [bad_at + 1 + int(rng.integers(0, 3))] + \
+                [int(rng.integers(1, 4)) for _ in range(int(rng.integers(0, 3)))]
+            args = self_observing_scan(rng, n_pols, bad_at, kind)
+            assert scan_profiles_oracle(*args) == bad_at
+            assert _kernels.scan_profiles(*args) == bad_at, (bad_at, n_pols)
+
+    @pytest.mark.parametrize("budget", [None, 5 * 8 * 36])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_last_profile_and_all_pass(self, monkeypatch, budget, seed):
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "SCAN_BYTES", budget)
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 300))
+        args = self_observing_scan(rng, [n, 1, 1], n - 1, ["zero", "several"][seed % 2])
+        assert scan_profiles_oracle(*args) == _kernels.scan_profiles(*args) == n - 1
+        args = self_observing_scan(rng, [int(rng.integers(1, 40)) for _ in range(3)])
+        assert scan_profiles_oracle(*args) == _kernels.scan_profiles(*args) == -1
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_profile_loop_on_random_tables(self, monkeypatch, seed):
+        # random fields and policy tables: the decode of every agent's digit
+        # matters, and failures of either kind fall anywhere
+        rng = np.random.default_rng(200 + seed)
+        if seed % 2:
+            monkeypatch.setattr(_kernels, "SCAN_BYTES", int(rng.integers(1, 4000)))
+        n_agents = int(rng.integers(1, 4))
+        sizes = rng.integers(1, 4, n_agents)
+        n_omega = int(rng.integers(1, 4))
+        uvals = decision_digits(sizes, n_omega)
+        atom_counts = rng.integers(1, 4, n_agents)
+        atoms = [rng.integers(0, k, uvals[0].size) for k in atom_counts]
+        # mostly the one solving value, so failures are not all at profile 0
+        tables = [np.where(rng.random((n, k)) < 0.9, 0, rng.integers(0, s, (n, k)))
+                  for n, k, s in zip(rng.integers(1, 12, n_agents), atom_counts, sizes)]
+        args = scan_args(tables, atoms, uvals, n_omega)
+        assert _kernels.scan_profiles(*args) == scan_profiles_oracle(*args)
+
+    def test_chunk_cap_keeps_the_gather_in_budget(self):
+        # the widest temporary of a chunk is one int64 per (profile, config)
+        item = np.dtype(np.int64).itemsize
+        budget = _kernels.SCAN_BYTES
+        for n_configs in [*range(1, 3000), *range(budget // item - 5, budget // item + 5),
+                          10 ** 6, 2 ** 40]:
+            cap = _kernels.scan_chunk_cap(n_configs)
+            assert cap >= 1
+            if cap > 1:
+                assert cap * n_configs * item <= budget, n_configs
+            assert (cap + 1) * n_configs * item > budget, n_configs

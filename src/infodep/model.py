@@ -184,14 +184,11 @@ class WModel:
         return self.space.decisions
 
     @cached_property
-    def _kernel_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def kernel_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(per-agent field atoms, per-agent own decision values), both (A, N)."""
         atoms = np.stack([self.info[a].partition.atom_index for a in self.agents])
         uvals = np.stack([self.space.coord_values(("u", a)) for a in self.agents])
         return np.ascontiguousarray(atoms), np.ascontiguousarray(uvals)
-
-    def kernel_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(per-agent field atoms, per-agent own decision values), both (A, N)."""
-        return self._kernel_arrays
 
 
 # ---------------------------------------------------------------------------

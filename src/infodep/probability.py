@@ -77,9 +77,6 @@ class ExactDist:
         return {int(i): Fraction(int(p), self.denom)
                 for i, p in zip(self.index, self.weights)}
 
-    def mass_in(self, ctx: ConfigSet) -> Fraction:
-        return Fraction(int(self.weights[ctx.member_mask[self.index]].sum()), self.denom)
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactDist)

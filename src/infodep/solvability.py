@@ -10,8 +10,9 @@ Causality follows Witsenhausen's configuration-ordering notion: an ordering
 map is valid when, on every set of configurations sharing an ordering
 prefix, the last agent's information events are measurable with respect to
 nature plus the decisions of the earlier agents.  `find_causal_ordering`
-searches for such a map by recursively splitting configuration cells, one
-next-agent per measurable cell atom, with memoization.
+searches for such a map with one memo over agent sets: for the agents U
+already ordered it decides every (nature, u_U) cell at once on arrays with
+a nature axis and one decision axis per agent.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def _stacked_tables(m: "WModel", profile: PolicyProfile) -> tuple[np.ndarray, np
 def solve(m: "WModel", profile: PolicyProfile) -> SolutionMap:
     """Count, for every nature point, the decision tuples solving u_a = policy_a(h)."""
     _check_profile(m, profile)
-    atoms, uvals = m.kernel_arrays()
+    atoms, uvals = m.kernel_arrays
     tables, offsets = _stacked_tables(m, profile)
     counts, sol = _kernels.solve_counts(tables, offsets, atoms, uvals, m.space.n_omega)
     return SolutionMap(m.space, counts, sol)
@@ -245,7 +246,7 @@ def is_model_solvable(
         tables = [e.tables() for e in enums]
         n_pols = np.asarray([len(e) for e in enums], dtype=np.int64)
         atom_counts = np.asarray([t.shape[1] for t in tables], dtype=np.int64)
-        atoms, uvals = m.kernel_arrays()
+        atoms, uvals = m.kernel_arrays
         bad = int(_kernels.scan_profiles(
             np.concatenate([t.ravel() for t in tables]),
             np.concatenate([[0], np.cumsum(n_pols * atom_counts)[:-1]]),
@@ -318,12 +319,17 @@ def check_causal_ordering(m: "WModel", phi: CausalOrdering) -> CausalityCheck:
     if phi.agents != tuple(m.agents):
         raise FieldcoreError("ordering is indexed by different agents")
     space = m.space
+    if phi.orders.shape[0] != space.n_configs:
+        raise FieldcoreError("ordering does not have one row per configuration")
     all_nature = frozenset(m.agents)
-    for k in range(1, len(m.agents) + 1):
-        prefixes, inverse = np.unique(phi.orders[:, :k], axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        for row in range(prefixes.shape[0]):
-            kappa = tuple(m.agents[int(i)] for i in prefixes[row])
+    n = len(m.agents)
+    inverse = np.zeros(space.n_configs, dtype=np.int64)
+    for k in range(n):
+        # dense prefix codes: they sort as the prefix rows do
+        _, first, inverse = np.unique(inverse * n + phi.orders[:, k],
+                                      return_index=True, return_inverse=True)
+        for row, c in enumerate(first):
+            kappa = tuple(m.agents[int(i)] for i in phi.orders[c, :k + 1])
             in_cell = inverse == row
             last_atoms = m.info[kappa[-1]].partition.atom_index
             labeled = np.where(in_cell, last_atoms, -1)
@@ -343,71 +349,59 @@ def find_causal_ordering(
 ) -> CausalOrdering | None:
     """Search for a causal configuration-ordering; None when none exists.
 
-    Cells of configurations are split recursively: within a cell, every atom
-    of the nature-plus-ordered-decisions field must pick a single next agent
-    whose information is constant on it.  Choices are explored in canonical
-    agent order with memoization, so the search is exhaustive and the
-    returned ordering deterministic.
+    A search cell is one value of (nature, u_U), U the agents already
+    ordered.  `plan(U)` decides every cell of U at once on the atom arrays
+    (a nature axis and one decision axis per agent, those outside U reduced
+    to size 1): a cell is feasible when some unordered agent's atoms are
+    constant on it and every cell it splits into under that agent's decision
+    is feasible for U plus the agent.  The first such agent in canonical
+    order goes next, so the search is exhaustive and the returned ordering
+    deterministic.  The memo is keyed by U and holds at most
+    n_omega * prod(1 + |U_a|) cells.
     """
     n = len(m.agents)
+    max_agents = min(max_agents, 63)  # NumPy arrays have at most 64 axes
     if n > max_agents:
         raise FieldcoreError(f"ordering search capped at {max_agents} agents")
     space = m.space
     if space.n_configs > max_configs:
         raise FieldcoreError(f"ordering search capped at {max_configs} configurations")
-    atoms_of = {a: m.info[a].partition.atom_index for a in m.agents}
-    all_nature = frozenset(m.agents)
-    codes_cache: dict[frozenset, np.ndarray] = {}
+    # configuration index = omega + n_omega * (decisions, agent 0 fastest), so
+    # axis 0 is nature and axis 1 + i agent i's decision
+    sizes = (space.n_omega,) + tuple(m.decisions[a].size for a in m.agents)
+    atoms = [m.info[a].partition.atom_index.reshape(sizes, order="F") for a in m.agents]
+    memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def codes_for(used: frozenset) -> np.ndarray:
-        if used not in codes_cache:
-            codes_cache[used], _ = space.mask_codes(CoordinateMask(all_nature, used))
-        return codes_cache[used]
+    def plan(used: int) -> tuple[np.ndarray, np.ndarray]:
+        if used in memo:
+            return memo[used]
+        free = tuple(1 + i for i in range(n) if not used >> i & 1)
+        shape = tuple(1 if ax in free else size for ax, size in enumerate(sizes))
+        ok = np.full(shape, not free)
+        pick = np.full(shape, -1, dtype=np.int16)
+        for i in range(n):
+            if used >> i & 1 or ok.all():
+                continue
+            a = atoms[i]
+            go = ~ok & (a.max(axis=free, keepdims=True) == a.min(axis=free, keepdims=True))
+            if not go.any():
+                continue
+            go &= plan(used | 1 << i)[0].all(axis=1 + i, keepdims=True)
+            ok |= go
+            pick[go] = i
+        memo[used] = ok, pick
+        return ok, pick
 
-    memo: dict[tuple, tuple | None] = {}
-
-    def search(members: np.ndarray, used: frozenset):
-        if len(used) == n:
-            return ()
-        key = (used, members.tobytes())
-        if key in memo:
-            return memo[key]
-        codes = codes_for(used)[members]
-        plan = []
-        feasible = True
-        _, inverse = np.unique(codes, return_inverse=True)
-        for g in range(int(inverse.max()) + 1 if inverse.size else 0):
-            cell = members[inverse == g]
-            chosen = None
-            for b in m.agents:
-                if b in used:
-                    continue
-                vals = atoms_of[b][cell]
-                if np.all(vals == vals[0]):
-                    sub = search(cell, used | {b})
-                    if sub is not None:
-                        chosen = (b, cell, sub)
-                        break
-            if chosen is None:
-                feasible = False
-                break
-            plan.append(chosen)
-        out = tuple(plan) if feasible else None
-        memo[key] = out
-        return out
-
-    root = search(np.arange(space.n_configs, dtype=np.int64), frozenset())
-    if root is None:
+    if not plan(0)[0].all():
         return None
-    orders = np.full((space.n_configs, n), -1, dtype=np.int16)
-    pos = {a: i for i, a in enumerate(m.agents)}
-
-    def fill(plan, depth):
-        for b, cell, sub in plan:
-            orders[cell, depth] = pos[b]
-            fill(sub, depth + 1)
-
-    fill(root, 0)
+    orders = np.empty((space.n_configs, n), dtype=np.int16)
+    used = np.zeros(space.n_configs, dtype=np.int64)
+    for depth in range(n):
+        for u in np.unique(used):
+            rows = used == u
+            pick = np.broadcast_to(memo[int(u)][1], sizes).ravel(order="F")
+            orders[rows, depth] = pick[rows]
+        used += np.left_shift(1, orders[:, depth], dtype=np.int64)
     return CausalOrdering(tuple(m.agents), orders)
 
 

@@ -92,6 +92,8 @@ CASES = {
     "causality-found": ("causality", "--builtin", "common-cause"),
     "causality-none": ("causality", *XOR),
     "causality-capped": ("causality", "--builtin", "kuh"),
+    "causality-kuh-found": ("causality", "--builtin", "kuh", "--max-agents", "7"),
+    "causality-jpcbh-none": ("causality", "--builtin", "jpcbh", "--max-agents", "6"),
     "model-and-builtin": ("closure", "--model", "{tmp}/spy.json", "--builtin", "kuh",
                           "--b", "T"),
     "missing-model-file": ("validate", "--model", "{tmp}/absent.json"),

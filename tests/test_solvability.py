@@ -3,16 +3,20 @@ from math import prod
 import numpy as np
 import pytest
 
+from infodep import _kernels
 from infodep.fieldcore import (
     ConfigSet,
     ConfigSpace,
     Configuration,
     CoordinateMask,
     FieldcoreError,
+    FiniteSpace,
+    partition_from_codes,
 )
-from infodep.model import Dag, InformationField, Prior, WModel, dag_to_idm
+from infodep.model import Dag, InformationField, ModelMeta, Prior, WModel, dag_to_idm
 from infodep.precedence import SeparationCertificate, Splitting, topologically_separated
 from infodep.solvability import (
+    CausalityCheck,
     CausalOrdering,
     InvalidCertificateError,
     Policy,
@@ -65,6 +69,91 @@ def exhaustive_solve_oracle(m):
     return "SOLVABLE_PROVED", total, None
 
 
+def find_causal_ordering_oracle(m, max_agents=5, max_configs=4096):
+    """Reference for `find_causal_ordering`: recursive splitting of explicit
+    configuration cells, one np.unique grouping per cell, memoized on the
+    cell's members; the first feasible agent in canonical order goes next."""
+    n = len(m.agents)
+    if n > max_agents:
+        raise FieldcoreError(f"ordering search capped at {max_agents} agents")
+    space = m.space
+    if space.n_configs > max_configs:
+        raise FieldcoreError(f"ordering search capped at {max_configs} configurations")
+    atoms_of = {a: m.info[a].partition.atom_index for a in m.agents}
+    all_nature = frozenset(m.agents)
+    codes_cache = {}
+
+    def codes_for(used):
+        if used not in codes_cache:
+            codes_cache[used], _ = space.mask_codes(CoordinateMask(all_nature, used))
+        return codes_cache[used]
+
+    memo = {}
+
+    def search(members, used):
+        if len(used) == n:
+            return ()
+        key = (used, members.tobytes())
+        if key in memo:
+            return memo[key]
+        codes = codes_for(used)[members]
+        plan = []
+        feasible = True
+        _, inverse = np.unique(codes, return_inverse=True)
+        for g in range(int(inverse.max()) + 1 if inverse.size else 0):
+            cell = members[inverse == g]
+            chosen = None
+            for b in m.agents:
+                if b in used:
+                    continue
+                vals = atoms_of[b][cell]
+                if np.all(vals == vals[0]):
+                    sub = search(cell, used | {b})
+                    if sub is not None:
+                        chosen = (b, cell, sub)
+                        break
+            if chosen is None:
+                feasible = False
+                break
+            plan.append(chosen)
+        out = tuple(plan) if feasible else None
+        memo[key] = out
+        return out
+
+    root = search(np.arange(space.n_configs, dtype=np.int64), frozenset())
+    if root is None:
+        return None
+    orders = np.full((space.n_configs, n), -1, dtype=np.int16)
+
+    def fill(plan, depth):
+        for b, cell, sub in plan:
+            orders[cell, depth] = m.agents.index(b)
+            fill(sub, depth + 1)
+
+    fill(root, 0)
+    return CausalOrdering(tuple(m.agents), orders)
+
+
+def check_causal_ordering_oracle(m, phi):
+    """Reference for `check_causal_ordering`: prefixes as unique rows of the
+    ordering array, in row order."""
+    space = m.space
+    all_nature = frozenset(m.agents)
+    for k in range(1, len(m.agents) + 1):
+        prefixes, inverse = np.unique(phi.orders[:, :k], axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        for row in range(prefixes.shape[0]):
+            kappa = tuple(m.agents[int(i)] for i in prefixes[row])
+            labeled = np.where(inverse == row, m.info[kappa[-1]].partition.atom_index, -1)
+            codes, n_codes = space.mask_codes(CoordinateMask(all_nature, frozenset(kappa[:-1])))
+            ok, i, j = _kernels.group_constant(codes, labeled, n_codes)
+            if not ok:
+                return CausalityCheck(
+                    False, kappa, (space.config_at(int(i)), space.config_at(int(j)))
+                )
+    return CausalityCheck(True)
+
+
 def tabulated_profile(m, rules):
     """Profile playing rules[a](noises, decisions) on 0/1 ints, per field atom.
 
@@ -90,6 +179,43 @@ def xor_omega(bits):
 
 def u_mask(agents):
     return CoordinateMask(frozenset(), frozenset(agents))
+
+
+def context_model(rng):
+    """Random 2-4 agent model with 1-, 2- and 3-valued coordinates.  A field
+    is a mask (own noise, some decisions) or an observation table that sees
+    the owner's noise, the decision u_c of one context agent, and u_b where
+    u_c = 0 but u_d elsewhere."""
+    n = int(rng.integers(2, 5))
+    agents = tuple(f"A{i}" for i in range(n))
+    sizes = rng.integers(1, 4, size=(2, n))
+    while sizes.prod() > 4096:
+        sizes = rng.integers(1, 4, size=(2, n))
+    spaces = [{a: FiniteSpace(f"{kind}[{a}]", tuple(str(v) for v in range(k)))
+               for a, k in zip(agents, row)} for kind, row in zip(("omega", "u"), sizes)]
+    space = ConfigSpace(agents, *spaces)
+    info = {}
+    ctx = agents[int(rng.integers(n))]
+    for a in agents:
+        others = [b for b in agents if b != a]
+        if a == ctx or rng.random() < 0.3:
+            seen = frozenset(b for b in others if rng.random() < 0.3)
+            info[a] = InformationField.from_mask(space, a, CoordinateMask({a}, seen))
+            continue
+        c = space.coord_values(("u", ctx))
+        b, d = (space.coord_values(("u", x)) for x in rng.choice(others, 2))
+        raw = ((space.coord_values(("n", a)) * 3 + c) * 4
+               + np.where(c == 0, 1 + b, 0)) * 4 + np.where(c == 0, 0, 1 + d)
+        info[a] = InformationField(a, partition_from_codes(space, raw))
+    return WModel(space, info, meta=ModelMeta(name="context-model"))
+
+
+def ordering_kind(phi):
+    if phi is None:
+        return None
+    return "constant" if np.all(phi.orders == phi.orders[0]) else "non-constant"
+
+
 
 
 # A solvable xor profile on which the fixed splitting {X0}/{X1,X2} fails:
@@ -341,6 +467,93 @@ class TestCausalOrdering:
         bad = np.zeros((common_cause_model.space.n_configs, 3), dtype=np.int16)
         with pytest.raises(FieldcoreError):
             CausalOrdering(tuple(common_cause_model.agents), bad)
+
+    def test_search_takes_at_most_63_agents(self):
+        # one array axis per agent plus nature; NumPy allows 64 axes
+        def trivial_model(n):
+            agents = tuple(f"A{i}" for i in range(n))
+            one = {a: FiniteSpace(f"s[{a}]", ("*",)) for a in agents}
+            space = ConfigSpace(agents, one, one)
+            return WModel(space, {a: InformationField.from_mask(
+                space, a, CoordinateMask({a}, frozenset(agents[:1]) - {a})) for a in agents})
+
+        phi = find_causal_ordering(trivial_model(63), max_agents=64)
+        assert phi.ordering_at(0) == tuple(f"A{i}" for i in range(63))
+        with pytest.raises(FieldcoreError, match="capped at 63 agents"):
+            find_causal_ordering(trivial_model(64), max_agents=64)
+
+    def test_ordering_with_wrong_row_count_rejected(self, common_cause_model):
+        rows = np.tile(np.arange(3, dtype=np.int16), (10, 1))
+        phi = CausalOrdering(tuple(common_cause_model.agents), rows)
+        with pytest.raises(FieldcoreError, match="one row per configuration"):
+            check_causal_ordering(common_cause_model, phi)
+
+    def test_check_visits_prefixes_in_row_order(self):
+        # A2 sees u_A0 and A3 sees u_A1; where omega_A0 = 0 the order is
+        # A0 A3 A1 A2, elsewhere A1 A2 A0 A3.  Both two-agent prefixes fail,
+        # and (A0, A3) is the smaller row although A3 > A2.
+        agents = ("A0", "A1", "A2", "A3")
+        space = ConfigSpace(agents, *binary_spaces(agents))
+        seen = {"A0": (), "A1": (), "A2": ("A0",), "A3": ("A1",)}
+        info = {a: InformationField.from_mask(space, a, CoordinateMask({a}, seen[a]))
+                for a in agents}
+        m = WModel(space, info)
+        rows = np.where(space.coord_values(("n", "A0"))[:, None] == 0, [0, 3, 1, 2], [1, 2, 0, 3])
+        phi = CausalOrdering(agents, rows)
+        res = check_causal_ordering(m, phi)
+        assert res.violating_prefix == ("A0", "A3")
+        assert res == check_causal_ordering_oracle(m, phi)
+
+    def test_search_matches_oracle_on_random_models(self):
+        rng = np.random.default_rng(2024)
+        models = [random_mask_model(rng, self_observing=bool(rng.random() < 0.2))
+                  for _ in range(40)] + [context_model(rng) for _ in range(150)]
+        kinds = set()
+        for m in models:
+            phi = find_causal_ordering(m)
+            ref = find_causal_ordering_oracle(m)
+            assert (phi is None) == (ref is None)
+            if phi is not None:
+                assert np.array_equal(phi.orders, ref.orders)
+            kinds.add(ordering_kind(phi))
+        assert kinds == {None, "constant", "non-constant"}
+
+    def test_search_matches_oracle_on_six_agent_models(self, kuh_model):
+        rng = np.random.default_rng(77)
+        cases = [(random_dag_model(rng, 6, float(rng.uniform(0.2, 0.5)))[0], 6)
+                 for _ in range(3)]
+        cases += [(random_mask_model(rng, 6, edge_prob=0.35), 6) for _ in range(3)]
+        cases.append((kuh_model, 7))
+        for m, n in cases:
+            phi = find_causal_ordering(m, max_agents=n, max_configs=20_000)
+            ref = find_causal_ordering_oracle(m, max_agents=n, max_configs=20_000)
+            assert (phi is None) == (ref is None)
+            if phi is not None:
+                assert np.array_equal(phi.orders, ref.orders)
+
+    def test_check_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for _ in range(80):
+            m = context_model(rng) if rng.random() < 0.7 else random_mask_model(rng)
+            n, n_configs = len(m.agents), m.space.n_configs
+            shuffled = rng.permuted(np.tile(np.arange(n), (n_configs, 1)), axis=1)
+            phis = [CausalOrdering.constant(m, [m.agents[i] for i in rng.permutation(n)]),
+                    CausalOrdering(tuple(m.agents), shuffled)]
+            found = find_causal_ordering(m)
+            if found is not None:
+                phis.append(found)
+                # reverse a few whole rows, then a few rows after their first agent
+                for start in (0, 1):
+                    orders = found.orders.copy()
+                    rows = rng.choice(n_configs, size=min(3, n_configs), replace=False)
+                    orders[rows, start:] = orders[rows, start:][:, ::-1]
+                    phis.append(CausalOrdering(tuple(m.agents), orders))
+            for phi in phis:
+                res = check_causal_ordering(m, phi)
+                assert res == check_causal_ordering_oracle(m, phi)
+                verdicts.add(res.ok)
+        assert verdicts == {True, False}
 
 
 class TestVerifyFactorization:

@@ -147,6 +147,14 @@ class ConfigSpace:
         return n
 
     @cached_property
+    def axis_sizes(self) -> tuple[int, ...]:
+        """(n_omega, |U_0|, ..., |U_{n-1}|).  A configuration index is omega +
+        n_omega * u, agent 0 the fastest digit of u, so a per-configuration array
+        reshaped to these sizes with order="F" has nature on axis 0 and agent i's
+        decision on axis 1 + i."""
+        return (self.n_omega,) + tuple(self.decisions[a].size for a in self.agents)
+
+    @cached_property
     def _coord_value_arrays(self) -> dict[tuple[str, str], np.ndarray]:
         idx = np.arange(self.n_configs, dtype=np.int64)
         out = {}
@@ -175,17 +183,20 @@ class ConfigSpace:
     def full_mask(self) -> CoordinateMask:
         return CoordinateMask(frozenset(self.agents), frozenset(self.agents))
 
-    def mask_codes(self, mask: CoordinateMask) -> tuple[np.ndarray, int]:
-        """Mixed-radix code of the masked coordinates, per configuration.
+    def mask_codes(self, mask: CoordinateMask,
+                   index: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+        """Mixed-radix code of the masked coordinates, per configuration, and
+        the codes' range; with `index`, only at those configurations.
 
         Codes are dense in [0, prod(masked sizes)) and their numeric order
         equals the first-occurrence order under the canonical enumeration.
         """
         coords = self.mask_coords(mask)
-        codes = np.zeros(self.n_configs, dtype=np.int64)
+        codes = np.zeros(self.n_configs if index is None else len(index), dtype=np.int64)
         stride = 1
         for c in coords:
-            codes += self.coord_values(c) * stride
+            values = self.coord_values(c)
+            codes += (values if index is None else values[index]) * stride
             stride *= self.coord_space(c).size
         return codes, stride
 
@@ -411,16 +422,13 @@ def _require_same_space(a: ConfigSpace, b: ConfigSpace) -> None:
         raise SpaceMismatchError("operands live on different configuration spaces")
 
 
-def _canonicalize(raw: np.ndarray, members: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Relabel raw codes on `members` by first occurrence; -1 elsewhere."""
-    out = np.full(n, -1, dtype=np.int64)
-    sub = raw[members] if members.shape[0] != n else raw
-    uniq, first, inverse = np.unique(sub, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
+def first_occurrence(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes renumbered 0, 1, ... by first occurrence, and each one's first position."""
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
     rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    out[members] = rank[inverse]
-    return out, int(uniq.shape[0])
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +473,8 @@ def partition_from_codes(space: ConfigSpace, raw: np.ndarray | Sequence[int]) ->
     raw = np.ascontiguousarray(raw, dtype=np.int64)
     if raw.shape != (space.n_configs,):
         raise FieldcoreError("code array has the wrong length")
-    atom_index, count = _canonicalize(
-        raw, np.arange(space.n_configs, dtype=np.int64), space.n_configs
-    )
-    return Partition(space, atom_index, count)
+    atom_index, first = first_occurrence(raw)
+    return Partition(space, atom_index, len(first))
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -495,8 +501,10 @@ def trace(p: Partition, ctx: ConfigSet) -> Partition:
     if p.domain is not None:
         if not np.all(p.domain.member_mask[ctx.indices]):
             raise FieldcoreError("trace context must lie inside the partition domain")
-    atom_index, count = _canonicalize(p.atom_index, ctx.indices, p.space.n_configs)
-    return Partition(p.space, atom_index, count, domain=ctx)
+    ranks, first = first_occurrence(p.atom_index[ctx.indices])
+    atom_index = np.full(p.space.n_configs, -1, dtype=np.int64)
+    atom_index[ctx.indices] = ranks
+    return Partition(p.space, atom_index, len(first), domain=ctx)
 
 
 def field_subset_on(p: Partition, mask: CoordinateMask, ctx: ConfigSet) -> bool:
@@ -519,12 +527,8 @@ def field_subset_witness(
     members = ctx.indices
     if members.shape[0] == 0:
         raise EmptyContextError("containment test over an empty context")
-    codes, n_codes = p.space.mask_codes(mask)
-    ok, i, j = _kernels.group_constant(
-        np.ascontiguousarray(codes[members]),
-        np.ascontiguousarray(p.atom_index[members]),
-        n_codes,
-    )
+    codes, n_codes = p.space.mask_codes(mask, members)
+    ok, i, j = _kernels.group_constant(codes, p.atom_index[members], n_codes)
     if ok:
         return None
     return p.space.config_at(int(members[i])), p.space.config_at(int(members[j]))

@@ -272,17 +272,32 @@ class Dag:
             if u not in known or v not in known:
                 raise ModelError(f"edge ({u},{v}) references an unknown node")
 
+    @cached_property
+    def _parents(self) -> dict[str, tuple[str, ...]]:
+        return {v: tuple(u for u in self.nodes if (u, v) in self.edges) for v in self.nodes}
+
+    @cached_property
+    def _children(self) -> dict[str, tuple[str, ...]]:
+        return {u: tuple(v for v in self.nodes if (u, v) in self.edges) for u in self.nodes}
+
     def parents(self, node: str) -> tuple[str, ...]:
-        return tuple(u for u in self.nodes if (u, node) in self.edges)
+        return self._parents.get(node, ())
 
     def children(self, node: str) -> tuple[str, ...]:
-        return tuple(v for v in self.nodes if (node, v) in self.edges)
+        return self._children.get(node, ())
 
     def has_self_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
 
     def topological_order(self) -> tuple[str, ...] | None:
         """Some topological order, or None when the graph has a cycle."""
+        return self._topological_order
+
+    def is_acyclic(self) -> bool:
+        return self._topological_order is not None
+
+    @cached_property
+    def _topological_order(self) -> tuple[str, ...] | None:
         indeg = {v: 0 for v in self.nodes}
         for _, v in self.edges:
             indeg[v] += 1
@@ -296,9 +311,6 @@ class Dag:
                 if indeg[w] == 0:
                     ready.append(w)
         return tuple(out) if len(out) == len(self.nodes) else None
-
-    def is_acyclic(self) -> bool:
-        return self.topological_order() is not None
 
 
 def _binary_spaces(agents: Sequence[str], prefix: str) -> dict[str, FiniteSpace]:
@@ -398,14 +410,6 @@ class InterventionSpec:
             raise ModelError("replacement fields must cover the targets exactly")
 
 
-def _lift_codes(new_space: ConfigSpace, base_space: ConfigSpace) -> np.ndarray:
-    """Index of the base configuration under each extended configuration."""
-    idx = np.zeros(new_space.n_configs, dtype=np.int64)
-    for coord, stride in zip(base_space.coords, base_space.strides):
-        idx += new_space.coord_values(coord) * stride
-    return idx
-
-
 def intervene(m: WModel, spec: InterventionSpec) -> WModel:
     """Extend the model with a binary switch agent implementing the intervention.
 
@@ -433,7 +437,7 @@ def intervene(m: WModel, spec: InterventionSpec) -> WModel:
     decisions[i_name] = FiniteSpace.binary(f"u[{i_name}]")
     new_space = ConfigSpace(agents, nature, decisions, max_configs=m.space.max_configs)
 
-    base_idx = _lift_codes(new_space, m.space)
+    base_idx, _ = new_space.mask_codes(CoordinateMask(m.agents, m.agents))
     switch = new_space.coord_values(("u", i_name))
     info: dict[str, InformationField] = {}
     for a in m.agents:

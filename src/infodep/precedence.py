@@ -4,9 +4,10 @@ The precedence of agent b over agent a, conditioned on a context pair
 (W, H), holds when a's information traced on H still depends on b's
 decision even after every decision coordinate outside {b} plus W is made
 visible.  Membership in the defining intersection is per-element, so the
-relation is computed entry by entry ("drop b and test containment") without
-enumerating all 2^|A| candidate sets; `precedes_oracle` keeps the literal
-enumeration as an independent check.
+relation needs no enumeration of the 2^|A| candidate sets: a row b in W is
+empty, and a row b outside W is one reduction along b's decision axis of
+the configuration space's axis view (`ConfigSpace.axis_sizes`).
+`precedes_oracle` keeps the literal enumeration as an independent check.
 
 Closures are least fixpoints of S -> S u P(S); a separation query searches
 the 2^|W| splittings of W in canonical binary order for disjoint closures.
@@ -20,11 +21,11 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import _kernels
 from .fieldcore import (
     ConfigSet,
     CoordinateMask,
     FieldcoreError,
+    _require_same_space,
     field_subset_on,
 )
 
@@ -149,32 +150,36 @@ def _as_agent_set(m: "WModel", agents: Iterable[str], what: str) -> frozenset[st
 def _context(m: "WModel", ctx: ConfigSet | None) -> ConfigSet:
     if ctx is None:
         return ConfigSet.full(m.space)
+    _require_same_space(m.space, ctx.space)
     if ctx.size == 0:
         raise FieldcoreError("context set is empty")
     return ctx
 
 
 def precedes(m: "WModel", w: Iterable[str] = (), ctx: ConfigSet | None = None) -> PrecedenceRelation:
-    """Precedence conditioned on (w, ctx), entry by entry.
+    """Precedence conditioned on (w, ctx), one axis reduction per entry.
 
     Entry (b, a) is set when a's field, traced on ctx, is NOT contained in
     the field generated by all nature plus the decisions of (A \\ {b}) u w.
+    For b in w that is the whole configuration field, so row b is empty.
+    For b outside w its atoms are the lines along b's decision axis, and
+    (b, a) holds when on some line the largest atom of a among the members
+    of ctx exceeds the smallest (non-members masked to -1 and atom_count).
     """
     w = _as_agent_set(m, w, "W")
     ctx = _context(m, ctx)
     agents = m.agents
-    all_nature = frozenset(agents)
-    members = ctx.indices
-    atoms = {a: np.ascontiguousarray(m.info[a].partition.atom_index[members])
-             for a in agents}
+    sizes = m.space.axis_sizes
+    axes = [1 + i for i, b in enumerate(agents) if b not in w]
+    member = None if ctx.is_full else ctx.member_mask.reshape(sizes, order="F")
     matrix = np.zeros((len(agents), len(agents)), dtype=bool)
-    for i, b in enumerate(agents):
-        visible = (frozenset(agents) - {b}) | w
-        codes, n_codes = m.space.mask_codes(CoordinateMask(all_nature, visible))
-        codes = np.ascontiguousarray(codes[members])
-        for j, a in enumerate(agents):
-            ok, _, _ = _kernels.group_constant(codes, atoms[a], n_codes)
-            matrix[i, j] = not ok
+    for j, a in enumerate(agents):
+        p = m.info[a].partition
+        hi = lo = p.atom_index.reshape(sizes, order="F")
+        if member is not None:
+            hi, lo = np.where(member, hi, -1), np.where(member, lo, p.atom_count)
+        for ax in axes:
+            matrix[ax - 1, j] = (hi.max(axis=ax) > lo.min(axis=ax)).any()
     return PrecedenceRelation(tuple(agents), matrix)
 
 

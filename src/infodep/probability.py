@@ -28,6 +28,8 @@ from .fieldcore import (
     ConfigSet,
     CoordinateMask,
     FieldcoreError,
+    _require_same_space,
+    first_occurrence,
 )
 from .model import Prior, WModel, builtin, weight_dtype
 from .precedence import (
@@ -125,27 +127,9 @@ def _inside(d: ExactDist, ctx: ConfigSet | None) -> tuple[np.ndarray, np.ndarray
     """Support indices and weights inside the context."""
     if ctx is None:
         return d.index, d.weights
+    _require_same_space(d.space, ctx.space)
     keep = ctx.member_mask[d.index]
     return d.index[keep], d.weights[keep]
-
-
-def _codes(space, coords, index: np.ndarray) -> tuple[np.ndarray, int]:
-    """Mixed-radix code of the coordinates at each configuration, and its range."""
-    code = np.zeros(len(index), dtype=np.int64)
-    stride = 1
-    for c in coords:
-        code += space.coord_values(c)[index] * stride
-        stride *= space.coord_space(c).size
-    return code, stride
-
-
-def _first_occurrence(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes renumbered 0, 1, ... by first occurrence, and each one's first position."""
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
 
 
 def _sums(code: np.ndarray, n: int, weights: np.ndarray) -> np.ndarray:
@@ -189,9 +173,9 @@ def conditional(d: ExactDist, q: CondQuery) -> ConditionalTable:
     t_coords = space.mask_coords(q.target)
     g_coords = space.mask_coords(q.given)
     index, weights = _inside(d, q.context)
-    g, g_first = _first_occurrence(_codes(space, g_coords, index)[0])
-    t_code, t_range = _codes(space, t_coords, index)
-    cell, cell_first = _first_occurrence(g * t_range + t_code)
+    g, g_first = first_occurrence(space.mask_codes(q.given, index)[0])
+    t_code, t_range = space.mask_codes(q.target, index)
+    cell, cell_first = first_occurrence(g * t_range + t_code)
     joint = _sums(cell, len(cell_first), weights)
     total = _sums(g, len(g_first), weights)
     configs = index[cell_first]
@@ -229,12 +213,12 @@ def cond_independent(
     index, weights = _inside(d, ctx)
     if not len(index):
         raise ZeroMassContextError("conditioning context has zero mass")
-    g, g_first = _first_occurrence(_codes(space, g_coords, index)[0])
-    a_code, a_range = _codes(space, a_coords, index)
-    b_code, b_range = _codes(space, b_coords, index)
-    ga, ga_first = _first_occurrence(g * a_range + a_code)
-    gb, gb_first = _first_occurrence(g * b_range + b_code)
-    cell, cell_first = _first_occurrence(ga * len(gb_first) + gb)
+    g, g_first = first_occurrence(space.mask_codes(given_mask, index)[0])
+    a_code, a_range = space.mask_codes(a_mask, index)
+    b_code, b_range = space.mask_codes(b_mask, index)
+    ga, ga_first = first_occurrence(g * a_range + a_code)
+    gb, gb_first = first_occurrence(g * b_range + b_code)
+    cell, cell_first = first_occurrence(ga * len(gb_first) + gb)
     total = _sums(g, len(g_first), weights)
     pa = _sums(ga, len(ga_first), weights)
     pb = _sums(gb, len(gb_first), weights)
@@ -276,7 +260,7 @@ def restrict(d: ExactDist, ctx: ConfigSet) -> ExactDist:
 def project_dist(d: ExactDist, mask: CoordinateMask) -> dict[tuple, Fraction]:
     """Marginal law of the masked coordinates, in first-occurrence order."""
     coords = d.space.mask_coords(mask)
-    code, first = _first_occurrence(_codes(d.space, coords, d.index)[0])
+    code, first = first_occurrence(d.space.mask_codes(mask, d.index)[0])
     sums = _sums(code, len(first), d.weights)
     return {k: Fraction(int(p), d.denom)
             for k, p in zip(_keys(d.space, coords, d.index[first]), sums)}
@@ -399,11 +383,11 @@ def _dropping_violation(dist, mask_y, mask_w, mask_w_clz, context):
     y_coords = space.mask_coords(mask_y)
     long_coords = space.mask_coords(mask_w_clz)
     index, weights = _inside(dist, context)
-    y_code, y_range = _codes(space, y_coords, index)
-    gl, gl_first = _first_occurrence(_codes(space, long_coords, index)[0])
-    gs, gs_first = _first_occurrence(_codes(space, space.mask_coords(mask_w), index)[0])
-    cl, cl_first = _first_occurrence(gl * y_range + y_code)
-    cs, cs_first = _first_occurrence(gs * y_range + y_code)
+    y_code, y_range = space.mask_codes(mask_y, index)
+    gl, gl_first = first_occurrence(space.mask_codes(mask_w_clz, index)[0])
+    gs, gs_first = first_occurrence(space.mask_codes(mask_w, index)[0])
+    cl, cl_first = first_occurrence(gl * y_range + y_code)
+    cs, cs_first = first_occurrence(gs * y_range + y_code)
     t_long, t_short = _sums(gl, len(gl_first), weights), _sums(gs, len(gs_first), weights)
     j_long, j_short = _sums(cl, len(cl_first), weights), _sums(cs, len(cs_first), weights)
     short_of = gs[gl_first]  # the short key of each long key

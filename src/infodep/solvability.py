@@ -366,9 +366,7 @@ def find_causal_ordering(
     space = m.space
     if space.n_configs > max_configs:
         raise FieldcoreError(f"ordering search capped at {max_configs} configurations")
-    # configuration index = omega + n_omega * (decisions, agent 0 fastest), so
-    # axis 0 is nature and axis 1 + i agent i's decision
-    sizes = (space.n_omega,) + tuple(m.decisions[a].size for a in m.agents)
+    sizes = space.axis_sizes  # axis 0 nature, axis 1 + i agent i's decision
     atoms = [m.info[a].partition.atom_index.reshape(sizes, order="F") for a in m.agents]
     memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

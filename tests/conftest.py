@@ -1,6 +1,13 @@
+import numpy as np
 import pytest
 
-from infodep.fieldcore import ConfigSet, ConfigSpace, CoordinateMask, FiniteSpace
+from infodep.fieldcore import (
+    ConfigSet,
+    ConfigSpace,
+    CoordinateMask,
+    FiniteSpace,
+    partition_from_codes,
+)
 from infodep.model import (
     InformationField,
     ModelMeta,
@@ -81,6 +88,41 @@ def random_mask_model(rng, n_agents=None, local_noise=True, edge_prob=0.45,
             seen_n = frozenset(b for b in agents if rng.random() < 0.6) | {a}
         info[a] = InformationField.from_mask(space, a, CoordinateMask(seen_n, seen_u))
     return WModel(space, info, meta=ModelMeta(name="random-mask"))
+
+
+def context_model(rng, self_observing=False, local_noise=True):
+    """Random 2-4 agent model with 1-, 2- and 3-valued coordinates.  A field
+    is a mask (own noise, some decisions) or an observation table that sees
+    the owner's noise, the decision u_c of one context agent, and u_b where
+    u_c = 0 but u_d elsewhere.  With `self_observing` a mask may also see
+    the owner's decision; without `local_noise` it may see other agents'
+    noise.  The defaults draw no extra random numbers."""
+    n = int(rng.integers(2, 5))
+    agents = tuple(f"A{i}" for i in range(n))
+    sizes = rng.integers(1, 4, size=(2, n))
+    while sizes.prod() > 4096:
+        sizes = rng.integers(1, 4, size=(2, n))
+    spaces = [{a: FiniteSpace(f"{kind}[{a}]", tuple(str(v) for v in range(k)))
+               for a, k in zip(agents, row)} for kind, row in zip(("omega", "u"), sizes)]
+    space = ConfigSpace(agents, *spaces)
+    info = {}
+    ctx = agents[int(rng.integers(n))]
+    for a in agents:
+        others = [b for b in agents if b != a]
+        if a == ctx or rng.random() < 0.3:
+            pool = agents if self_observing else others
+            seen = frozenset(b for b in pool if rng.random() < 0.3)
+            noise = {a}
+            if not local_noise:
+                noise |= {b for b in others if rng.random() < 0.5}
+            info[a] = InformationField.from_mask(space, a, CoordinateMask(noise, seen))
+            continue
+        c = space.coord_values(("u", ctx))
+        b, d = (space.coord_values(("u", x)) for x in rng.choice(others, 2))
+        raw = ((space.coord_values(("n", a)) * 3 + c) * 4
+               + np.where(c == 0, 1 + b, 0)) * 4 + np.where(c == 0, 0, 1 + d)
+        info[a] = InformationField(a, partition_from_codes(space, raw))
+    return WModel(space, info, meta=ModelMeta(name="context-model"))
 
 
 def random_dag_model(rng, n=5, edge_prob=0.4):

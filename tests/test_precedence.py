@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from infodep.fieldcore import ConfigSet, FieldcoreError
+from infodep.fieldcore import ConfigSet, FieldcoreError, SpaceMismatchError
+from infodep.model import builtin
 from infodep.precedence import (
     PrecedenceRelation,
     closure,
@@ -12,7 +13,37 @@ from infodep.precedence import (
     topologically_separated,
 )
 
-from conftest import random_context, random_disjoint_sets, random_mask_model
+from conftest import (
+    context_model,
+    random_context,
+    random_disjoint_sets,
+    random_mask_model,
+)
+
+
+def context_kind(ctx):
+    """Which branch of `random_context` a context looks like."""
+    if ctx is None:
+        return "full"
+    space = ctx.space
+    pins = (ConfigSet.from_pins(space, decision={a: lab})
+            for a in space.agents for lab in space.decisions[a].elements)
+    return "pinned" if any(ctx == p for p in pins) else "random"
+
+
+def model_features(m):
+    """The kinds of coordinate and field a model exercises."""
+    out = {f"{kind}-size-{sp.size}" for kind, spaces in (("n", m.nature), ("u", m.decisions))
+           for sp in spaces.values()}
+    for a, f in m.info.items():
+        if f.mask is None:
+            out.add("observation-table")
+            continue
+        if a in f.mask.decision:
+            out.add("self-observing")
+        if f.mask.nature - {a}:
+            out.add("non-local-noise")
+    return out
 
 
 class TestPrecedes:
@@ -77,9 +108,49 @@ class TestOracleAgreement:
             ctx = random_context(rng, m.space)
             assert precedes(m, w, ctx) == precedes_oracle(m, w, ctx)
 
+    def test_richer_models_all_context_kinds(self):
+        # 1-, 2- and 3-valued coordinates, observation tables that see a
+        # decision only where a context decision is 0, self-observing and
+        # non-local-noise masks, random W, every kind of random context
+        rng = np.random.default_rng(4242)
+        kinds, features = set(), set()
+        for _ in range(200):
+            m = context_model(rng, self_observing=bool(rng.integers(2)),
+                              local_noise=bool(rng.integers(2)))
+            w = frozenset(a for a in m.agents if rng.random() < 0.3)
+            ctx = random_context(rng, m.space)
+            rel = precedes(m, w, ctx)
+            assert rel == precedes_oracle(m, w, ctx)
+            kinds.add(context_kind(ctx))
+            features |= model_features(m)
+            if ctx is not None and rel.matrix.any():
+                features.add("arc-under-context")
+        assert kinds == {"full", "pinned", "random"}
+        assert features >= {
+            "n-size-1", "n-size-2", "n-size-3", "u-size-1", "u-size-2", "u-size-3",
+            "observation-table", "self-observing", "non-local-noise",
+            "arc-under-context",
+        }
+
     def test_oracle_cap(self, xor_model):
         with pytest.raises(FieldcoreError):
             precedes_oracle(xor_model, max_agents=3)
+
+
+class TestForeignContext:
+    """A context from another space is refused, even one of the same size."""
+
+    @pytest.mark.parametrize("name", ["common-cause", "witsenhausen-xor"])
+    def test_relation_layer(self, name, tikka_model):
+        m = builtin(name)
+        ctx = ConfigSet.from_pins(tikka_model.space, decision={"s": "1"})
+        a, b = m.agents[:2]
+        with pytest.raises(SpaceMismatchError):
+            precedes(m, ctx=ctx)
+        with pytest.raises(SpaceMismatchError):
+            closure(m, {a}, ctx=ctx)
+        with pytest.raises(SpaceMismatchError):
+            topologically_separated(m, {a}, {b}, ctx=ctx)
 
 
 class TestRelationAlgebra:

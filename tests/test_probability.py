@@ -4,8 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from infodep.fieldcore import ConfigSet, CoordinateMask, FieldcoreError
-from infodep.model import InterventionSpec, Prior, intervene
+from infodep.fieldcore import ConfigSet, CoordinateMask, FieldcoreError, SpaceMismatchError
+from infodep.model import InterventionSpec, Prior, builtin, intervene
 from infodep.probability import (
     CondQuery,
     ZeroMassContextError,
@@ -167,6 +167,24 @@ class TestCondIndependent:
         ctx = ConfigSet(xor_model.space, mask)
         with pytest.raises(ZeroMassContextError):
             cond_independent(dist, u_mask({"X3"}), u_mask({"X4"}), u_mask(set()), ctx)
+
+
+class TestForeignContext:
+    """A context from another space is refused, even one of the same size."""
+
+    @pytest.mark.parametrize("name", ["common-cause", "witsenhausen-xor"])
+    def test_probability_layer(self, name, tikka_model):
+        m = builtin(name)
+        ctx = ConfigSet.from_pins(tikka_model.space, decision={"s": "1"})
+        profile = m.canonical_profile or sample_profiles(m, 1, np.random.default_rng(0))[0]
+        d = pushforward(m, profile, Prior.uniform(m.space))
+        a, b = m.agents[:2]
+        with pytest.raises(SpaceMismatchError):
+            conditional(d, CondQuery(u_mask({a}), u_mask({b}), ctx))
+        with pytest.raises(SpaceMismatchError):
+            cond_independent(d, u_mask({a}), u_mask({b}), u_mask(()), ctx)
+        with pytest.raises(SpaceMismatchError):
+            verify_docalculus(m, {a}, {b}, ctx=ctx, policy_trials=1, prior_trials=1)
 
 
 class TestTable1:

@@ -11,7 +11,6 @@ from infodep.fieldcore import (
     CoordinateMask,
     FieldcoreError,
     FiniteSpace,
-    partition_from_codes,
 )
 from infodep.model import Dag, InformationField, ModelMeta, Prior, WModel, dag_to_idm
 from infodep.precedence import SeparationCertificate, Splitting, topologically_separated
@@ -36,6 +35,7 @@ from infodep.probability import cond_independent, pushforward
 
 from conftest import (
     binary_spaces,
+    context_model,
     mutual_observation_model,
     random_dag_model,
     random_mask_model,
@@ -179,35 +179,6 @@ def xor_omega(bits):
 
 def u_mask(agents):
     return CoordinateMask(frozenset(), frozenset(agents))
-
-
-def context_model(rng):
-    """Random 2-4 agent model with 1-, 2- and 3-valued coordinates.  A field
-    is a mask (own noise, some decisions) or an observation table that sees
-    the owner's noise, the decision u_c of one context agent, and u_b where
-    u_c = 0 but u_d elsewhere."""
-    n = int(rng.integers(2, 5))
-    agents = tuple(f"A{i}" for i in range(n))
-    sizes = rng.integers(1, 4, size=(2, n))
-    while sizes.prod() > 4096:
-        sizes = rng.integers(1, 4, size=(2, n))
-    spaces = [{a: FiniteSpace(f"{kind}[{a}]", tuple(str(v) for v in range(k)))
-               for a, k in zip(agents, row)} for kind, row in zip(("omega", "u"), sizes)]
-    space = ConfigSpace(agents, *spaces)
-    info = {}
-    ctx = agents[int(rng.integers(n))]
-    for a in agents:
-        others = [b for b in agents if b != a]
-        if a == ctx or rng.random() < 0.3:
-            seen = frozenset(b for b in others if rng.random() < 0.3)
-            info[a] = InformationField.from_mask(space, a, CoordinateMask({a}, seen))
-            continue
-        c = space.coord_values(("u", ctx))
-        b, d = (space.coord_values(("u", x)) for x in rng.choice(others, 2))
-        raw = ((space.coord_values(("n", a)) * 3 + c) * 4
-               + np.where(c == 0, 1 + b, 0)) * 4 + np.where(c == 0, 0, 1 + d)
-        info[a] = InformationField(a, partition_from_codes(space, raw))
-    return WModel(space, info, meta=ModelMeta(name="context-model"))
 
 
 def ordering_kind(phi):

@@ -319,8 +319,10 @@ def _parse_pins(pairs) -> dict[str, str]:
     for p in pairs:
         if "=" not in p:
             raise FieldcoreError(f"pin {p!r} must look like agent=label")
-        k, v = p.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (t.strip() for t in p.split("=", 1))
+        if k in out:
+            raise FieldcoreError(f"{k!r} is pinned twice")
+        out[k] = v
     return out
 
 

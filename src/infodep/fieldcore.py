@@ -2,8 +2,10 @@
 
 Every sigma-field handled by this package is a complete field over a finite
 set, so it is stored as the partition of the configuration space into its
-atoms: a single integer array mapping configuration index -> atom id.  All
-field relations (subfield, trace, containment over a context set) reduce to
+atoms: a single integer array mapping configuration index -> atom id, with
+-1 at the configurations outside the field's domain (a trace field's
+context).  Those -1 entries are the only record of the domain.  All field
+relations (subfield, trace, containment over a context set) reduce to
 constancy checks of one labeling over the fibers of another.
 
 Configurations are enumerated in a fixed mixed-radix order: nature
@@ -310,8 +312,13 @@ class ConfigSet:
 
     @staticmethod
     def from_indices(space: ConfigSpace, indices: Iterable[int]) -> "ConfigSet":
+        idx = np.asarray(list(indices), dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= space.n_configs):
+            raise FieldcoreError(
+                f"configuration indices must lie in [0, {space.n_configs})"
+            )
         mask = np.zeros(space.n_configs, dtype=bool)
-        mask[list(indices)] = True
+        mask[idx] = True
         return ConfigSet(space, mask)
 
     @staticmethod
@@ -363,15 +370,15 @@ class ConfigSet:
 class Partition:
     """A finite complete field, identified with its atom labeling.
 
-    `atom_index[i]` is the atom of configuration i, or -1 outside `domain`
-    (domain None means the full space).  Atom ids are canonical: contiguous
-    from 0, numbered by first occurrence in enumeration order.
+    `atom_index[i]` is the atom of configuration i, or -1 when i lies outside
+    the field's domain; the -1 entries are the domain, and a field over the
+    whole space has none.  Atom ids are canonical: contiguous from 0,
+    numbered by first occurrence in enumeration order.
     """
 
     space: ConfigSpace
     atom_index: np.ndarray
     atom_count: int
-    domain: ConfigSet | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "atom_index", _frozen_array(self.atom_index))
@@ -380,12 +387,10 @@ class Partition:
 
     @property
     def is_full_domain(self) -> bool:
-        return self.domain is None or self.domain.is_full
+        return bool(self.atom_index.min() >= 0)
 
     def domain_indices(self) -> np.ndarray:
-        if self.domain is None:
-            return np.arange(self.space.n_configs, dtype=np.int64)
-        return self.domain.indices
+        return np.flatnonzero(self.atom_index >= 0)
 
     def atom_of(self, cfg: Configuration) -> int:
         atom = int(self.atom_index[self.space.index_of(cfg)])
@@ -398,12 +403,8 @@ class Partition:
 
     def representatives(self) -> list[int]:
         """First configuration index of each atom, in atom order."""
-        reps = [-1] * self.atom_count
-        for i in self.domain_indices():
-            a = int(self.atom_index[i])
-            if reps[a] < 0:
-                reps[a] = int(i)
-        return reps
+        atoms, first = np.unique(self.atom_index, return_index=True)
+        return first[atoms >= 0].tolist()
 
     def __eq__(self, other):
         return (
@@ -480,15 +481,11 @@ def partition_from_codes(space: ConfigSpace, raw: np.ndarray | Sequence[int]) ->
 def refines(p: Partition, q: Partition) -> bool:
     """True iff every atom of p lies inside a single atom of q (q subfield of p)."""
     _require_same_space(p.space, q.space)
-    if (p.domain is None) != (q.domain is None) or (
-        p.domain is not None and p.domain != q.domain
-    ):
+    domain = p.atom_index >= 0
+    if not np.array_equal(domain, q.atom_index >= 0):
         raise FieldcoreError("refinement compares partitions over the same domain")
-    members = p.domain_indices()
     ok, _, _ = _kernels.group_constant(
-        np.ascontiguousarray(p.atom_index[members]),
-        np.ascontiguousarray(q.atom_index[members]),
-        p.atom_count,
+        p.atom_index[domain], q.atom_index[domain], p.atom_count
     )
     return bool(ok)
 
@@ -498,13 +495,13 @@ def trace(p: Partition, ctx: ConfigSet) -> Partition:
     _require_same_space(p.space, ctx.space)
     if ctx.size == 0:
         raise EmptyContextError("trace over an empty configuration set")
-    if p.domain is not None:
-        if not np.all(p.domain.member_mask[ctx.indices]):
-            raise FieldcoreError("trace context must lie inside the partition domain")
-    ranks, first = first_occurrence(p.atom_index[ctx.indices])
+    atoms = p.atom_index[ctx.indices]
+    if atoms.min() < 0:
+        raise FieldcoreError("trace context must lie inside the partition domain")
+    ranks, first = first_occurrence(atoms)
     atom_index = np.full(p.space.n_configs, -1, dtype=np.int64)
     atom_index[ctx.indices] = ranks
-    return Partition(p.space, atom_index, len(first), domain=ctx)
+    return Partition(p.space, atom_index, len(first))
 
 
 def field_subset_on(p: Partition, mask: CoordinateMask, ctx: ConfigSet) -> bool:

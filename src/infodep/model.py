@@ -26,7 +26,6 @@ from .fieldcore import (
     ConfigSpace,
     Configuration,
     CoordinateMask,
-    DEFAULT_MAX_CONFIGS,
     FieldcoreError,
     FiniteSpace,
     Partition,
@@ -324,7 +323,6 @@ def scm_to_idm(
     agent_order: Sequence[str] | None = None,
     prior: Prior | None = None,
     meta: ModelMeta | None = None,
-    max_configs: int = DEFAULT_MAX_CONFIGS,
 ) -> WModel:
     """Read the structural assignments as fields plus a canonical profile.
 
@@ -338,7 +336,7 @@ def scm_to_idm(
         bad = set(ps) - known
         if bad:
             raise ModelError(f"parents of {a!r} reference unknown agents {sorted(bad)}")
-    space = ConfigSpace(agents, nature, decisions, max_configs=max_configs)
+    space = ConfigSpace(agents, nature, decisions)
     info, policies = {}, {}
     for a in agents:
         mask = CoordinateMask(frozenset({a}), frozenset(spec.parents[a]))
@@ -365,7 +363,6 @@ def dag_to_idm(
     decisions: Mapping[str, FiniteSpace] | None = None,
     prior: Prior | None = None,
     meta: ModelMeta | None = None,
-    max_configs: int = DEFAULT_MAX_CONFIGS,
 ) -> WModel:
     """Fields follow the arrows (own noise + parent decisions); no policies.
 
@@ -375,7 +372,7 @@ def dag_to_idm(
         raise ModelError("graph has a self-loop")
     nature = nature or _binary_spaces(g.nodes, "omega")
     decisions = decisions or _binary_spaces(g.nodes, "u")
-    space = ConfigSpace(g.nodes, nature, decisions, max_configs=max_configs)
+    space = ConfigSpace(g.nodes, nature, decisions)
     info = {
         a: InformationField.from_mask(
             space, a, CoordinateMask(frozenset({a}), frozenset(g.parents(a)))
@@ -408,6 +405,9 @@ class InterventionSpec:
             raise ModelError("switch probability must have full support (0 < p < 1)")
         if set(self.replacement_fields) != set(self.targets):
             raise ModelError("replacement fields must cover the targets exactly")
+        for z, f in self.replacement_fields.items():
+            if not f.partition.is_full_domain:
+                raise ModelError(f"replacement field for {z!r} must be a full-domain partition")
 
 
 def intervene(m: WModel, spec: InterventionSpec) -> WModel:
@@ -482,40 +482,29 @@ def extend_profile(
 
     Targets follow their base policy on switch 0 and the replacement policy
     on switch 1 (default: the replacement field's first decision everywhere);
-    the switch agent plays its own noise by default.
+    the switch agent plays its own noise by default.  Each table entry is
+    read at its atom's first configuration, through the base configuration
+    with the same nature and base decisions.
     """
     replacement_policies = dict(replacement_policies or {})
-    targets = set(spec.targets)
+    space = intervened.space
     i_name = spec.switch_agent
+    base_mask = CoordinateMask(base.agents, base.agents)
+    switched = space.coord_values(("u", i_name)) == space.decisions[i_name].index("1")
     policies: dict[str, Policy] = {}
     for a in base.agents:
-        f = intervened.info[a].partition
-        table = np.empty(f.atom_count, dtype=np.int64)
-        for atom, rep in enumerate(f.representatives()):
-            cfg = intervened.space.config_at(rep)
-            base_cfg = Configuration(
-                base.space,
-                {x: cfg.nature_part[x] for x in base.agents},
-                {x: cfg.decision_part[x] for x in base.agents},
-            )
-            if a in targets and cfg.decision_part[i_name] == "1":
-                repl = replacement_policies.get(a)
-                if repl is None:
-                    table[atom] = 0
-                else:
-                    atom_r = spec.replacement_fields[a].partition.atom_of(base_cfg)
-                    table[atom] = repl.table[atom_r]
-            else:
-                atom_b = base.info[a].partition.atom_of(base_cfg)
-                table[atom] = base_profile[a].table[atom_b]
+        reps = intervened.info[a].partition.representatives()
+        base_rep, _ = space.mask_codes(base_mask, reps)
+        table = base_profile[a].table[base.info[a].partition.atom_index[base_rep]]
+        if a in spec.targets:
+            repl = replacement_policies.get(a)
+            alt = 0 if repl is None else repl.table[
+                spec.replacement_fields[a].partition.atom_index[base_rep]]
+            table = np.where(switched[reps], alt, table)
         policies[a] = Policy(a, table)
     if switch_policy is None:
-        f = intervened.info[i_name].partition
-        table = np.empty(f.atom_count, dtype=np.int64)
-        for atom, rep in enumerate(f.representatives()):
-            cfg = intervened.space.config_at(rep)
-            table[atom] = intervened.decisions[i_name].index(cfg.nature_part[i_name])
-        switch_policy = Policy(i_name, table)
+        reps = intervened.info[i_name].partition.representatives()
+        switch_policy = Policy(i_name, space.coord_values(("n", i_name))[reps])
     policies[i_name] = switch_policy
     return PolicyProfile(policies)
 

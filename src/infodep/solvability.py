@@ -28,6 +28,7 @@ from .fieldcore import (
     Configuration,
     CoordinateMask,
     FieldcoreError,
+    first_occurrence,
 )
 from .precedence import SeparationCertificate, closure as topo_closure, precedes
 
@@ -124,16 +125,14 @@ class PolicyEnumeration:
                 f"{self._count} policies for {agent!r} exceeds the cap {cap};"
                 " use sample_policies instead"
             )
+        # below the cap, so every power of the decision count fits in int64
+        self._powers = self._size ** np.arange(self._atoms, dtype=np.int64)
 
     def __len__(self) -> int:
         return self._count
 
     def policy_at(self, k: int) -> Policy:
-        table = np.empty(self._atoms, dtype=np.int64)
-        for t in range(self._atoms):
-            table[t] = k % self._size
-            k //= self._size
-        return Policy(self.agent, table)
+        return Policy(self.agent, (k // self._powers) % self._size)
 
     def __iter__(self) -> Iterator[Policy]:
         return (self.policy_at(k) for k in range(self._count))
@@ -141,8 +140,7 @@ class PolicyEnumeration:
     def tables(self) -> np.ndarray:
         """Every policy's table, one row per policy in canonical order."""
         ks = np.arange(self._count, dtype=np.int64)[:, None]
-        powers = self._size ** np.arange(self._atoms, dtype=np.int64)[None, :]
-        return (ks // powers) % self._size
+        return (ks // self._powers) % self._size
 
 
 def enumerate_policies(m: "WModel", agent: str,
@@ -454,8 +452,12 @@ def verify_factorization(
     their projections onto the noises of cl_y, of cl_z and of the residual
     (the rectangle check).  Together the first, second and fourth checks
     make the cl_y and cl_z decisions conditionally independent given u_W
-    and ctx under every product prior.  Each check is an exact integer
-    grouping, reported with two nature points as a counterexample.
+    and ctx under every product prior.  A solution's nature coordinates are
+    those of its nature point, so every key and value is one `mask_codes`
+    code of the solution configurations: each dependence check is one
+    group-constancy scan, and the rectangle check ranks (u_W, noises) pairs
+    by first occurrence.  A failed check reports two nature points as a
+    counterexample.
 
     The W decisions are inputs here, not outputs of either block: once one
     side of the splitting is pinned, the cycle inside W may keep several
@@ -488,55 +490,38 @@ def verify_factorization(
     parts = FactorizationCertificate(cl_y, cl_z, residual)
 
     ctx = ctx if ctx is not None else ConfigSet.full(space)
-    omega = np.arange(space.n_omega, dtype=np.int64)
-    in_domain = ctx.member_mask[sol.config_index]
-    omega = omega[in_domain]
+    omega = np.flatnonzero(ctx.member_mask[sol.config_index])
     if omega.shape[0] == 0:
         return FactorizationReport(parts, (), vacuous=True, domain_size=0)
+    sol_cfg = sol.config_index[omega]
 
-    sol_cfg = sol.config_index[in_domain]
-
-    def u_of(agents: frozenset[str]) -> np.ndarray:
-        cols = [space.coord_values(("u", a))[sol_cfg] for a in space.agents if a in agents]
-        return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
-
-    def om_of(agents: frozenset[str]) -> np.ndarray:
-        # a configuration index below n_omega has u = 0, so it reads as omega
-        cols = [space.coord_values(("n", a))[omega] for a in space.agents if a in agents]
-        return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
+    def codes(noises: frozenset[str], decisions: frozenset[str]) -> tuple[np.ndarray, int]:
+        # a solution's nature coordinates are those of its nature point
+        return space.mask_codes(CoordinateMask(noises, decisions), sol_cfg)
 
     def witness(i, j) -> tuple[dict, dict]:
         return (space.omega_labels_at(int(omega[i])), space.omega_labels_at(int(omega[j])))
 
-    u_w = u_of(w)
-    plan = (
-        ("y-block", cl_y - w, np.concatenate([om_of(cl_y), u_w], axis=1)),
-        ("z-block", cl_z - w, np.concatenate([om_of(cl_z), u_w], axis=1)),
-        ("residual", residual,
-         np.concatenate([om_of(residual), u_of(cl_y | cl_z)], axis=1)),
-    )
     checks = []
-    for name, block, keys in plan:
-        vals = u_of(block)
-        _, inverse, first = _rows_factorized(keys)
-        bad = np.flatnonzero((vals[first[inverse]] != vals).any(axis=1))
-        if bad.size:
-            j = int(bad[0])
-            checks.append(DependenceCheck(name, False, witness(first[inverse[j]], j)))
-        else:
-            checks.append(DependenceCheck(name, True))
+    for name, block, (keys, n_keys) in (
+        ("y-block", cl_y - w, codes(cl_y, w)),
+        ("z-block", cl_z - w, codes(cl_z, w)),
+        ("residual", residual, codes(residual, cl_y | cl_z)),
+    ):
+        ok, i, j = _kernels.group_constant(keys, codes(frozenset(), block)[0], n_keys)
+        checks.append(DependenceCheck(name, True) if ok
+                      else DependenceCheck(name, False, witness(i, j)))
 
-    # Rectangle: split each u_W group's nature points into block and rest
-    # codes.  The group is block x rest exactly when every block code meets
-    # every rest code of its group; y-vs-rest and z-vs-rest rectangles
-    # together give the three-way product with the residual.
-    _, w_code, _ = _rows_factorized(u_w)
+    # Rectangle: rank each nature point's (u_W group, block noises) and
+    # (u_W group, other noises) pairs.  The group is block x rest exactly when
+    # every block pair meets every rest pair of its group; y-vs-rest and
+    # z-vs-rest rectangles together give the three-way product with the
+    # residual.
+    w_code, _ = codes(frozenset(), w)
     rect = DependenceCheck("rectangle", True)
     for block in (cl_y, cl_z):
-        _, inside, first_in = _rows_factorized(
-            np.column_stack([w_code, om_of(block)]))
-        _, outside, first_out = _rows_factorized(
-            np.column_stack([w_code, om_of(frozenset(m.agents) - block)]))
+        inside, first_in = first_occurrence(codes(block, w)[0])
+        outside, first_out = first_occurrence(codes(frozenset(m.agents) - block, w)[0])
         rest_per_group = np.bincount(w_code[first_out])
         short = np.flatnonzero(np.bincount(inside) < rest_per_group[w_code[first_in]])
         if short.size:
@@ -549,12 +534,3 @@ def verify_factorization(
     checks.append(rect)
     return FactorizationReport(parts, tuple(checks), vacuous=False,
                                domain_size=int(omega.shape[0]))
-
-
-def _rows_factorized(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factorize matrix rows: (unique, inverse, index-of-first-occurrence)."""
-    if rows.shape[1] == 0:
-        n = rows.shape[0]
-        return rows[:1], np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    uniq, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return uniq, inverse.ravel(), first

@@ -268,6 +268,8 @@ USAGE_ERRORS = {
     "rule1-negative-policy-trials": ("rule1", *TIKKA_Q, "--policy-trials", "-1"),
     "rule1-negative-seed": ("rule1", *TIKKA_Q, "--seed", "-1"),
     "reproduce-negative-seed": ("reproduce", "fig2", "--seed", "-1"),
+    "precedence-pinned-twice": ("precedence", "--builtin", "tikka-context",
+                                "--pin-decision", "s=0", "--pin-decision", "s=1"),
     "causality-negative-max-agents": ("causality", "--builtin", "common-cause",
                                       "--max-agents", "-1"),
     "validate-unwritable-out": ("validate", "--builtin", "kuh", "--out", "{missing}"),

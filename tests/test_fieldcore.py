@@ -14,6 +14,7 @@ from infodep.fieldcore import (
     FiniteSpace,
     field_subset_on,
     field_subset_witness,
+    partition_from_codes,
     partition_from_mask,
     partition_from_observation,
     project,
@@ -21,7 +22,7 @@ from infodep.fieldcore import (
     trace,
 )
 
-from conftest import binary_spaces
+from conftest import binary_spaces, context_model, random_context
 
 
 def three_agent_space():
@@ -68,6 +69,14 @@ class TestSpaces:
         space = three_agent_space()
         for i in range(space.n_configs):
             assert space.config_at(i).index == i
+
+    def test_config_set_indices_checked(self):
+        space = three_agent_space()
+        for bad in ([-1], [space.n_configs], [0, 2 * space.n_configs]):
+            with pytest.raises(FieldcoreError):
+                ConfigSet.from_indices(space, bad)
+        ends = ConfigSet.from_indices(space, [0, space.n_configs - 1])
+        assert ends.indices.tolist() == [0, space.n_configs - 1]
 
 
 class TestProject:
@@ -212,6 +221,30 @@ class TestTrace:
         p = partition_from_mask(space, CoordinateMask({"Z"}, {"T"}))
         assert trace(p, ConfigSet.full(space)) == p
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_space_trace_refines_like_the_field(self, seed):
+        # the domain is the -1 entries, so a full-space trace has the
+        # field's own domain and compares with it
+        rng = np.random.default_rng(300 + seed)
+        space = switch_square_space()
+        p, q = (partition_from_codes(space, rng.integers(0, 3, space.n_configs))
+                for _ in range(2))
+        full = ConfigSet.full(space)
+        assert refines(p, trace(q, full)) == refines(p, q)
+        assert refines(trace(p, full), q) == refines(p, q)
+
+    def test_domain_is_the_traced_context(self):
+        space = three_agent_space()
+        p = partition_from_mask(space, CoordinateMask({"Z"}, {"T"}))
+        h = ConfigSet.from_pins(space, decision={"Z": "0"})
+        t = trace(p, h)
+        assert p.is_full_domain and not t.is_full_domain
+        assert np.array_equal(t.domain_indices(), h.indices)
+        with pytest.raises(FieldcoreError):
+            refines(t, p)
+        with pytest.raises(FieldcoreError):
+            trace(t, ConfigSet.from_pins(space, decision={"Z": "1"}))
+
     def test_trace_of_discrete_is_discrete(self):
         space = three_agent_space()
         p = partition_from_mask(space, space.full_mask())
@@ -240,6 +273,31 @@ class TestTrace:
         p = partition_from_mask(space, CoordinateMask())
         with pytest.raises(EmptyContextError):
             trace(p, ConfigSet.from_indices(space, []))
+
+
+def representatives_oracle(p):
+    """Reference for `Partition.representatives`: the first index of each
+    atom, found by walking the domain in order."""
+    reps = [-1] * p.atom_count
+    for i in p.domain_indices():
+        a = int(p.atom_index[i])
+        if reps[a] < 0:
+            reps[a] = int(i)
+    return reps
+
+
+class TestRepresentatives:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_domain_loop(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        m = context_model(rng)
+        for f in m.info.values():
+            p = f.partition
+            ctx = random_context(rng, m.space) or ConfigSet.full(m.space)
+            for part in (p, trace(p, ctx)):
+                reps = part.representatives()
+                assert reps == representatives_oracle(part)
+                assert all(type(r) is int for r in reps)
 
 
 class TestFieldSubsetOn:

@@ -3,7 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from infodep.fieldcore import ConfigSet, CoordinateMask
+from infodep.fieldcore import (
+    ConfigSet,
+    Configuration,
+    CoordinateMask,
+    partition_from_codes,
+    trace,
+)
 from infodep.model import (
     Dag,
     InformationField,
@@ -21,10 +27,10 @@ from infodep.model import (
     validate_model,
 )
 from infodep.precedence import precedes
-from infodep.solvability import Policy, sample_profiles, solve
+from infodep.solvability import Policy, PolicyProfile, sample_policies, sample_profiles, solve
 from infodep import probability
 
-from conftest import binary_spaces
+from conftest import binary_spaces, context_model, random_dag_model
 
 
 def common_cause_scm():
@@ -136,6 +142,46 @@ class TestDagToIdm:
             dag_to_idm(Dag(("a",), {("a", "a")}))
 
 
+def extend_profile_oracle(base, intervened, spec, base_profile,
+                          replacement_policies=None, switch_policy=None):
+    """Reference for `extend_profile`: each atom's entry read at its
+    representative through `Configuration` objects and `atom_of`."""
+    replacement_policies = dict(replacement_policies or {})
+    targets = set(spec.targets)
+    i_name = spec.switch_agent
+    policies = {}
+    for a in base.agents:
+        f = intervened.info[a].partition
+        table = np.empty(f.atom_count, dtype=np.int64)
+        for atom, rep in enumerate(f.representatives()):
+            cfg = intervened.space.config_at(rep)
+            base_cfg = Configuration(
+                base.space,
+                {x: cfg.nature_part[x] for x in base.agents},
+                {x: cfg.decision_part[x] for x in base.agents},
+            )
+            if a in targets and cfg.decision_part[i_name] == "1":
+                repl = replacement_policies.get(a)
+                if repl is None:
+                    table[atom] = 0
+                else:
+                    atom_r = spec.replacement_fields[a].partition.atom_of(base_cfg)
+                    table[atom] = repl.table[atom_r]
+            else:
+                atom_b = base.info[a].partition.atom_of(base_cfg)
+                table[atom] = base_profile[a].table[atom_b]
+        policies[a] = Policy(a, table)
+    if switch_policy is None:
+        f = intervened.info[i_name].partition
+        table = np.empty(f.atom_count, dtype=np.int64)
+        for atom, rep in enumerate(f.representatives()):
+            cfg = intervened.space.config_at(rep)
+            table[atom] = intervened.decisions[i_name].index(cfg.nature_part[i_name])
+        switch_policy = Policy(i_name, table)
+    policies[i_name] = switch_policy
+    return PolicyProfile(policies)
+
+
 def nature_only_replacement(m, targets):
     return {
         z: InformationField.from_mask(m.space, z, CoordinateMask({z}, frozenset()))
@@ -186,6 +232,42 @@ class TestIntervene:
                 ("T",), nature_only_replacement(common_cause_model, ("T",)),
                 switch_prob=Fraction(1),
             )
+
+    def test_partial_domain_replacement_rejected(self, common_cause_model):
+        # outside its domain the replacement's atoms are -1, which would
+        # silently share one lifted atom
+        m = common_cause_model
+        f = m.info["T"].partition
+        partial = trace(f, ConfigSet.from_pins(m.space, nature={"Z": "0"}))
+        with pytest.raises(ModelError, match="full-domain"):
+            InterventionSpec(("T",), {"T": InformationField("T", partial)})
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extend_profile_matches_oracle(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        for case in range(8):
+            if case % 2:
+                m = context_model(rng)
+            else:
+                m, _ = random_dag_model(rng, n=int(rng.integers(2, 5)))
+            targets = tuple(str(t) for t in rng.choice(
+                m.agents, size=min(len(m.agents), int(rng.integers(1, 3))), replace=False))
+            repl = {}
+            for z in targets:
+                raw = rng.integers(0, 3, m.space.n_configs)
+                repl[z] = InformationField(z, partition_from_codes(m.space, raw))
+            spec = InterventionSpec(targets, repl, switch_agent=f"I{case}")
+            m2 = intervene(m, spec)
+            profile = sample_profiles(m, 1, rng)[0]
+            repl_pols = {
+                z: Policy(z, rng.integers(0, m.decisions[z].size, f.partition.atom_count))
+                for z, f in repl.items() if rng.random() < 0.6
+            }
+            switch_pol = (sample_policies(m2, spec.switch_agent, 1, rng)[0]
+                          if rng.random() < 0.5 else None)
+            got = extend_profile(m, m2, spec, profile, repl_pols, switch_pol)
+            want = extend_profile_oracle(m, m2, spec, profile, repl_pols, switch_pol)
+            assert got == want
 
     def test_base_law_recovered_on_switch_zero(self, common_cause_model):
         m = common_cause_model

@@ -13,13 +13,23 @@ from infodep.fieldcore import (
     FiniteSpace,
 )
 from infodep.model import Dag, InformationField, ModelMeta, Prior, WModel, dag_to_idm
-from infodep.precedence import SeparationCertificate, Splitting, topologically_separated
+from infodep.precedence import (
+    SeparationCertificate,
+    Splitting,
+    closure as topo_closure,
+    precedes,
+    topologically_separated,
+)
 from infodep.solvability import (
     CausalityCheck,
     CausalOrdering,
+    DependenceCheck,
+    FactorizationCertificate,
+    FactorizationReport,
     InvalidCertificateError,
     Policy,
     PolicyProfile,
+    UnsolvableProfileError,
     check_causal_ordering,
     enumerate_policies,
     find_causal_ordering,
@@ -37,7 +47,9 @@ from conftest import (
     binary_spaces,
     context_model,
     mutual_observation_model,
+    random_context,
     random_dag_model,
+    random_disjoint_sets,
     random_mask_model,
 )
 
@@ -152,6 +164,122 @@ def check_causal_ordering_oracle(m, phi):
                     False, kappa, (space.config_at(int(i)), space.config_at(int(j)))
                 )
     return CausalityCheck(True)
+
+
+def verify_factorization_oracle(m, profile, ctx, cert, y, z, w):
+    """Reference for `verify_factorization`: keys and values as matrix rows,
+    factorized with np.unique(axis=0), and an inline constancy test."""
+    y, z, w = frozenset(y), frozenset(z), frozenset(w)
+    if cert.splitting.w_y | cert.splitting.w_z != w:
+        raise InvalidCertificateError("splitting does not partition W")
+    rel = precedes(m, w, ctx)
+    cl_y = topo_closure(m, y | cert.splitting.w_y, w, ctx, relation=rel)
+    cl_z = topo_closure(m, z | cert.splitting.w_z, w, ctx, relation=rel)
+    if cl_y != cert.closure_y or cl_z != cert.closure_z:
+        raise InvalidCertificateError("certificate closures are not the true closures")
+    if cl_y & cl_z:
+        raise InvalidCertificateError("certificate closures overlap")
+
+    sol = solve(m, profile)
+    if not sol.solvable:
+        raise UnsolvableProfileError("factorization requires a solvable profile")
+
+    space = m.space
+    residual = frozenset(m.agents) - cl_y - cl_z
+    parts = FactorizationCertificate(cl_y, cl_z, residual)
+
+    ctx = ctx if ctx is not None else ConfigSet.full(space)
+    omega = np.arange(space.n_omega, dtype=np.int64)
+    in_domain = ctx.member_mask[sol.config_index]
+    omega = omega[in_domain]
+    if omega.shape[0] == 0:
+        return FactorizationReport(parts, (), vacuous=True, domain_size=0)
+
+    sol_cfg = sol.config_index[in_domain]
+
+    def u_of(agents):
+        cols = [space.coord_values(("u", a))[sol_cfg] for a in space.agents if a in agents]
+        return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
+
+    def om_of(agents):
+        # a configuration index below n_omega has u = 0, so it reads as omega
+        cols = [space.coord_values(("n", a))[omega] for a in space.agents if a in agents]
+        return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
+
+    def witness(i, j):
+        return (space.omega_labels_at(int(omega[i])), space.omega_labels_at(int(omega[j])))
+
+    u_w = u_of(w)
+    plan = (
+        ("y-block", cl_y - w, np.concatenate([om_of(cl_y), u_w], axis=1)),
+        ("z-block", cl_z - w, np.concatenate([om_of(cl_z), u_w], axis=1)),
+        ("residual", residual,
+         np.concatenate([om_of(residual), u_of(cl_y | cl_z)], axis=1)),
+    )
+    checks = []
+    for name, block, keys in plan:
+        vals = u_of(block)
+        _, inverse, first = _rows_factorized(keys)
+        bad = np.flatnonzero((vals[first[inverse]] != vals).any(axis=1))
+        if bad.size:
+            j = int(bad[0])
+            checks.append(DependenceCheck(name, False, witness(first[inverse[j]], j)))
+        else:
+            checks.append(DependenceCheck(name, True))
+
+    # Rectangle: split each u_W group's nature points into block and rest
+    # codes.  The group is block x rest exactly when every block code meets
+    # every rest code of its group; y-vs-rest and z-vs-rest rectangles
+    # together give the three-way product with the residual.
+    _, w_code, _ = _rows_factorized(u_w)
+    rect = DependenceCheck("rectangle", True)
+    for block in (cl_y, cl_z):
+        _, inside, first_in = _rows_factorized(
+            np.column_stack([w_code, om_of(block)]))
+        _, outside, first_out = _rows_factorized(
+            np.column_stack([w_code, om_of(frozenset(m.agents) - block)]))
+        rest_per_group = np.bincount(w_code[first_out])
+        short = np.flatnonzero(np.bincount(inside) < rest_per_group[w_code[first_in]])
+        if short.size:
+            a = int(short[0])
+            group_rest = np.unique(outside[w_code == w_code[first_in[a]]])
+            r = int(group_rest[~np.isin(group_rest, outside[inside == a])][0])
+            # a's block noises with r's other noises reach no solution in the group
+            rect = DependenceCheck("rectangle", False, witness(first_in[a], first_out[r]))
+            break
+    checks.append(rect)
+    return FactorizationReport(parts, tuple(checks), vacuous=False,
+                               domain_size=int(omega.shape[0]))
+
+
+def _rows_factorized(rows):
+    """Factorize matrix rows: (unique, inverse, index-of-first-occurrence)."""
+    if rows.shape[1] == 0:
+        n = rows.shape[0]
+        return rows[:1], np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    uniq, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return uniq, inverse.ravel(), first
+
+
+def is_rectangle_counterexample(m, profile, ctx, w, blocks, pair):
+    """Both nature points reach ctx with the same u_W, and for some block the
+    point with the first one's block noises and the second one's other noises
+    does not reach ctx with that u_W."""
+    sol = solve(m, profile)
+    ctx = ctx if ctx is not None else ConfigSet.full(m.space)
+
+    def reached(omega):
+        cfg = sol.solution(omega)
+        return bool(ctx.member_mask[cfg.index]), tuple(cfg.decision_part[a] for a in sorted(w))
+
+    (in_1, w_1), (in_2, w_2) = reached(pair[0]), reached(pair[1])
+    if not (in_1 and in_2 and w_1 == w_2):
+        return False
+    for block in blocks:
+        swapped = {a: pair[0 if a in block else 1][a] for a in m.agents}
+        if reached(swapped) != (True, w_1):
+            return True
+    return False
 
 
 def tabulated_profile(m, rules):
@@ -657,3 +785,45 @@ class TestVerifyFactorization:
             {"X3"}, {"X4"}, {"X0", "X1", "X2"},
         )
         assert rep.vacuous and rep.passed
+
+    def test_matches_oracle_on_random_models(self):
+        # DAG models, and mask models whose fields read other agents' noise so
+        # that the block checks fail; full, pinned and random contexts.  Only
+        # a failing rectangle check may name another pair: it must still be a
+        # counterexample.
+        rng = np.random.default_rng(2024)
+        failed = {"block": 0, "rectangle": 0}
+        reports = 0
+        for case in range(160):
+            n = int(rng.integers(2, 5))
+            if case % 2:
+                m, _ = random_dag_model(rng, n=n)
+            else:
+                m = random_mask_model(rng, n_agents=n, local_noise=False)
+            ctx = random_context(rng, m.space)
+            y, z, w = random_disjoint_sets(rng, m.agents)
+            cert = topologically_separated(m, y, z, w, ctx)
+            if cert is None:
+                continue
+            profiles = [p for p in sample_profiles(m, 8, rng) if solve(m, p).solvable]
+            for profile in profiles[:3]:
+                got = verify_factorization(m, profile, ctx, cert, y, z, w)
+                want = verify_factorization_oracle(m, profile, ctx, cert, y, z, w)
+                reports += 1
+                assert (got.certificate, got.vacuous, got.domain_size) == \
+                    (want.certificate, want.vacuous, want.domain_size)
+                assert [(c.name, c.passed) for c in got.checks] == \
+                    [(c.name, c.passed) for c in want.checks]
+                for g, o in zip(got.checks, want.checks):
+                    if g.passed:
+                        continue
+                    if g.name == "rectangle":
+                        failed["rectangle"] += 1
+                        assert is_rectangle_counterexample(
+                            m, profile, ctx, w,
+                            (got.certificate.y_block, got.certificate.z_block), g.witness)
+                    else:
+                        failed["block"] += 1
+                        assert g == o
+        assert reports > 100
+        assert failed["block"] > 0 and failed["rectangle"] > 0

@@ -29,6 +29,8 @@ from .fieldcore import (
     FieldcoreError,
     FiniteSpace,
     Partition,
+    SpaceMismatchError,
+    _require_same_space,
     field_subset_witness,
     partition_from_codes,
     partition_from_mask,
@@ -58,6 +60,14 @@ class InformationField:
         return InformationField(owner, partition_from_observation(space, obs), None)
 
 
+def _require_space(f: InformationField, space: ConfigSpace, what: str) -> None:
+    """A field must live on `space`: the same agents and coordinate sizes."""
+    try:
+        _require_same_space(f.partition.space, space)
+    except SpaceMismatchError:
+        raise ModelError(f"{what} lives on a different space") from None
+
+
 def weight_dtype(denom: int):
     """int64 when products of two weights over `denom` fit, Python ints otherwise.
 
@@ -79,7 +89,8 @@ class Prior:
             dist = {str(k): Fraction(v) for k, v in dist.items()}
             if any(v < 0 for v in dist.values()):
                 raise ModelError(f"prior for {agent!r} has a negative mass")
-            if sum(dist.values(), Fraction(0)) != 1:
+            lcd = math.lcm(*(v.denominator for v in dist.values()))
+            if sum(v.numerator * (lcd // v.denominator) for v in dist.values()) != lcd:
                 raise ModelError(f"prior for {agent!r} does not sum to one exactly")
             clean[agent] = dist
         object.__setattr__(self, "masses", clean)
@@ -158,8 +169,7 @@ class WModel:
         for a, f in self.info.items():
             if f.owner != a:
                 raise ModelError(f"field stored under {a!r} is owned by {f.owner!r}")
-            if f.partition.space.agents != self.space.agents:
-                raise ModelError(f"field of {a!r} lives on a different space")
+            _require_space(f, self.space, f"field of {a!r}")
             if not f.partition.is_full_domain:
                 raise ModelError(f"field of {a!r} must be a full-domain partition")
         if self.prior is not None:
@@ -426,8 +436,7 @@ def intervene(m: WModel, spec: InterventionSpec) -> WModel:
     if spec.switch_agent in m.agents:
         raise ModelError(f"switch agent name {spec.switch_agent!r} is already used")
     for z, f in spec.replacement_fields.items():
-        if f.partition.space.agents != m.space.agents:
-            raise ModelError(f"replacement field for {z!r} lives on a different space")
+        _require_space(f, m.space, f"replacement field for {z!r}")
 
     i_name = spec.switch_agent
     agents = m.agents + (i_name,)

@@ -9,6 +9,14 @@ float and no tolerance anywhere.  Weights are int64 while D < 2**31, so that
 every product of two sums fits, and Python ints beyond that
 (`model.weight_dtype`).
 
+The independence and dropping tests each run in two steps: `_cells` numbers
+the cells of the support configurations inside the context, and a check
+sums one law's weights over them and cross-multiplies, building a witness
+only when the check fails.  The cells depend on the support alone, so
+`verify_docalculus` builds them once per solved profile and support (the
+set of nature points a prior gives positive mass), and per prior only the
+sums and the comparison run.
+
 `Fraction` values appear only at the edge: `ExactDist.support`,
 `ConditionalTable.rows`, `project_dist`, the witnesses and the decimal
 display of the table reproduction (3 places, truncated toward zero,
@@ -192,6 +200,55 @@ class CIResult:
     witness: tuple | None = None  # (given-key, a-key, b-key) on failure
 
 
+@dataclass(frozen=True)
+class _Cells:
+    """Cells of (k), (k, a), (k, b) and (k, a, b) on support configurations.
+
+    Each code numbers its cells in first-occurrence order along `index`, and
+    `*_first` holds the position where each cell first occurs; `kab_k`,
+    `kab_ka` and `kab_kb` name the (k), (k, a) and (k, b) cell of each
+    (k, a, b) cell.  Nothing here depends on the weights, so one build
+    serves every law with the same support.
+    """
+
+    index: np.ndarray
+    k: np.ndarray
+    k_first: np.ndarray
+    ka: np.ndarray
+    ka_first: np.ndarray
+    kb: np.ndarray
+    kb_first: np.ndarray
+    kab: np.ndarray
+    kab_k: np.ndarray
+    kab_ka: np.ndarray
+    kab_kb: np.ndarray
+
+
+def _cells(space, index: np.ndarray, k_mask: CoordinateMask, a_mask: CoordinateMask,
+           b_mask: CoordinateMask) -> _Cells:
+    k, k_first = first_occurrence(space.mask_codes(k_mask, index)[0])
+    a_code, a_range = space.mask_codes(a_mask, index)
+    b_code, b_range = space.mask_codes(b_mask, index)
+    ka, ka_first = first_occurrence(k * a_range + a_code)
+    kb, kb_first = first_occurrence(k * b_range + b_code)
+    kab, kab_first = first_occurrence(ka * len(kb_first) + kb)
+    return _Cells(index, k, k_first, ka, ka_first, kb, kb_first, kab,
+                  k[kab_first], ka[kab_first], kb[kab_first])
+
+
+def _balance(c: _Cells, weights: np.ndarray):
+    """One law's sums over the cells, and per (k, a, b) cell whether
+    p(k, a, b) * p(k) == p(k, a) * p(k, b).
+
+    Returns (ok, p(k), p(k, a), p(k, b), p(k, a, b)).
+    """
+    total = _sums(c.k, len(c.k_first), weights)
+    pa = _sums(c.ka, len(c.ka_first), weights)
+    pb = _sums(c.kb, len(c.kb_first), weights)
+    joint = _sums(c.kab, len(c.kab_k), weights)
+    return joint * total[c.kab_k] == pa[c.kab_ka] * pb[c.kab_kb], total, pa, pb, joint
+
+
 def cond_independent(
     d: ExactDist,
     a_mask: CoordinateMask,
@@ -206,41 +263,31 @@ def cond_independent(
     witness is the first failing cell with g in first-occurrence order, then
     a and b in the first-occurrence order of (g, a) and (g, b).
     """
-    space = d.space
-    a_coords = space.mask_coords(a_mask)
-    b_coords = space.mask_coords(b_mask)
-    g_coords = space.mask_coords(given_mask)
     index, weights = _inside(d, ctx)
     if not len(index):
         raise ZeroMassContextError("conditioning context has zero mass")
-    g, g_first = first_occurrence(space.mask_codes(given_mask, index)[0])
-    a_code, a_range = space.mask_codes(a_mask, index)
-    b_code, b_range = space.mask_codes(b_mask, index)
-    ga, ga_first = first_occurrence(g * a_range + a_code)
-    gb, gb_first = first_occurrence(g * b_range + b_code)
-    cell, cell_first = first_occurrence(ga * len(gb_first) + gb)
-    total = _sums(g, len(g_first), weights)
-    pa = _sums(ga, len(ga_first), weights)
-    pb = _sums(gb, len(gb_first), weights)
-    joint = _sums(cell, len(cell_first), weights)
-    cell_g, cell_a, cell_b = g[cell_first], ga[cell_first], gb[cell_first]
-    ok = joint * total[cell_g] == pa[cell_a] * pb[cell_b]
+    return _ci_check(d.space, _cells(d.space, index, given_mask, a_mask, b_mask), weights,
+                     a_mask, b_mask, given_mask)
+
+
+def _ci_check(space, c: _Cells, weights, a_mask, b_mask, given_mask) -> CIResult:
+    ok = _balance(c, weights)[0]
     # An (a, b) pair never seen with g has joint 0 < p(g, a) * p(g, b).  If
     # every seen cell of row (g, a) passed, the row's p(g, b) would sum to
     # total(g), so a row with an unseen cell also has a failing seen one.
     if ok.all():
         return CIResult(True)
-    bad_g = cell_g[~ok].min()
-    rows = np.flatnonzero(g[ga_first] == bad_g)
-    cols = np.flatnonzero(g[gb_first] == bad_g)
+    bad_g = c.kab_k[~ok].min()
+    rows = np.flatnonzero(c.k[c.ka_first] == bad_g)
+    cols = np.flatnonzero(c.k[c.kb_first] == bad_g)
     # unseen cells stay False
     grid = np.zeros((len(rows), len(cols)), dtype=bool)
-    here = cell_g == bad_g
-    grid[np.searchsorted(rows, cell_a[here]), np.searchsorted(cols, cell_b[here])] = ok[here]
-    r, c = np.argwhere(~grid)[0]
-    (g_key,) = _keys(space, g_coords, index[g_first[[bad_g]]])
-    (a_key,) = _keys(space, a_coords, index[ga_first[[rows[r]]]])
-    (b_key,) = _keys(space, b_coords, index[gb_first[[cols[c]]]])
+    here = c.kab_k == bad_g
+    grid[np.searchsorted(rows, c.kab_ka[here]), np.searchsorted(cols, c.kab_kb[here])] = ok[here]
+    r, col = np.argwhere(~grid)[0]
+    (g_key,) = _keys(space, space.mask_coords(given_mask), c.index[c.k_first[[bad_g]]])
+    (a_key,) = _keys(space, space.mask_coords(a_mask), c.index[c.ka_first[[rows[r]]]])
+    (b_key,) = _keys(space, space.mask_coords(b_mask), c.index[c.kb_first[[cols[col]]]])
     return CIResult(False, (g_key, a_key, b_key))
 
 
@@ -342,27 +389,44 @@ def verify_docalculus(
     mask_cl_z = _decision_mask(cl_z)
     mask_w_clz = _decision_mask(w | cl_z)
 
-    laws = [prior.omega_weights(m.space) for prior in priors]
+    def support_cells(sol: SolutionMap, keep: np.ndarray):
+        """Nature points of the support inside the context, and the cells of
+        both tests on their configurations; None for a zero-mass context."""
+        at = np.flatnonzero(keep)
+        index = sol.config_index[at]
+        inside = context.member_mask[index]
+        if not inside.any():
+            return None
+        index = index[inside]
+        ci = _cells(m.space, index, mask_w, mask_cl_y, mask_cl_z)
+        drop = _cells(m.space, index, mask_w, mask_w_clz, mask_y) if cert is not None else None
+        return at[inside], ci, drop
+
+    laws = [prior.omega_weights(m.space)[0] for prior in priors]
+    supports = [weights > 0 for weights in laws]
     for pi, profile in enumerate(profiles):
         sol = solve(m, profile)
         if not sol.solvable:
             skipped_unsolvable += 1
             continue
-        for qi, (weights, denom) in enumerate(laws):
-            dist = _law(m.space, sol, weights, denom)
-            if not context.member_mask[dist.index].any():
+        built: dict[bytes, tuple | None] = {}
+        for qi, (weights, keep) in enumerate(zip(laws, supports)):
+            key = keep.tobytes()
+            if key not in built:
+                built[key] = support_cells(sol, keep)
+            if built[key] is None:
                 skipped_zero += 1
                 continue
-            ci = cond_independent(dist, mask_cl_y, mask_cl_z, mask_w, context)
-            if cert is None:
-                checks += 1
-                if not ci.independent:
-                    ci_violations += 1
-                continue
+            at, ci_cells, drop_cells = built[key]
+            inside = weights[at]
+            ci = _ci_check(m.space, ci_cells, inside, mask_cl_y, mask_cl_z, mask_w)
             checks += 1
+            if cert is None:
+                ci_violations += not ci.independent
+                continue
             if not ci.independent:
                 failures.append(TrialFailure("conditional-independence", pi, qi, ci.witness))
-            drop = _dropping_violation(dist, mask_y, mask_w, mask_w_clz, context)
+            drop = _dropping_check(m.space, drop_cells, inside, mask_y, mask_w_clz)
             if drop is not None:
                 failures.append(TrialFailure("conditional-dropping", pi, qi, drop))
     return DoCalculusReport(
@@ -379,33 +443,28 @@ def _dropping_violation(dist, mask_y, mask_w, mask_w_clz, context):
     one in the order of their mixed-radix code.  Returns (long given key,
     target key, long conditional mass, short conditional mass).
     """
-    space = dist.space
-    y_coords = space.mask_coords(mask_y)
-    long_coords = space.mask_coords(mask_w_clz)
     index, weights = _inside(dist, context)
-    y_code, y_range = space.mask_codes(mask_y, index)
-    gl, gl_first = first_occurrence(space.mask_codes(mask_w_clz, index)[0])
-    gs, gs_first = first_occurrence(space.mask_codes(mask_w, index)[0])
-    cl, cl_first = first_occurrence(gl * y_range + y_code)
-    cs, cs_first = first_occurrence(gs * y_range + y_code)
-    t_long, t_short = _sums(gl, len(gl_first), weights), _sums(gs, len(gs_first), weights)
-    j_long, j_short = _sums(cl, len(cl_first), weights), _sums(cs, len(cs_first), weights)
-    short_of = gs[gl_first]  # the short key of each long key
-    cl_g, cl_s = gl[cl_first], cs[cl_first]
-    ok = j_long * t_short[short_of[cl_g]] == j_short[cl_s] * t_long[cl_g]
+    return _dropping_check(dist.space, _cells(dist.space, index, mask_w, mask_w_clz, mask_y),
+                           weights, mask_y, mask_w_clz)
+
+
+def _dropping_check(space, c: _Cells, weights, mask_y, mask_w_clz):
+    # k is the short given key w, ka the long one (w, clz) and kb (w, y)
+    ok, t_short, t_long, j_short, j_long = _balance(c, weights)
     # A target of the short row missing from a long row has long mass 0.
     # Both rows sum to one, so a long row that misses a target also has a
     # failing target it does see.
     if ok.all():
         return None
-    bad = cl_g[~ok].min()
-    row = np.flatnonzero(gs[cs_first] == short_of[bad])
-    row = row[~np.isin(row, cl_s[(cl_g == bad) & ok])]
-    c = row[np.argmin(y_code[cs_first[row]])]
-    p_long = Fraction(int(j_long[(cl_g == bad) & (cl_s == c)].sum()), int(t_long[bad]))
-    p_short = Fraction(int(j_short[c]), int(t_short[short_of[bad]]))
-    (g_key,) = _keys(space, long_coords, index[gl_first[[bad]]])
-    (t_key,) = _keys(space, y_coords, index[cs_first[[c]]])
+    bad = c.kab_ka[~ok].min()
+    short = c.k[c.ka_first[bad]]
+    row = np.flatnonzero(c.k[c.kb_first] == short)
+    row = row[~np.isin(row, c.kab_kb[(c.kab_ka == bad) & ok])]
+    col = row[np.argmin(space.mask_codes(mask_y, c.index[c.kb_first[row]])[0])]
+    p_long = Fraction(int(j_long[(c.kab_ka == bad) & (c.kab_kb == col)].sum()), int(t_long[bad]))
+    p_short = Fraction(int(j_short[col]), int(t_short[short]))
+    (g_key,) = _keys(space, space.mask_coords(mask_w_clz), c.index[c.ka_first[[bad]]])
+    (t_key,) = _keys(space, space.mask_coords(mask_y), c.index[c.kb_first[[col]]])
     return (g_key, t_key, p_long, p_short)
 
 

@@ -79,6 +79,8 @@ CASES = {
                          *FEW_TRIALS, "--seed", "3"),
     "docalc-not-separated": ("docalc", *XOR, "--y", "X3", "--z", "X4", "--w", "X0,X1",
                              *FEW_TRIALS),
+    "docalc-flagship": ("docalc", *XOR, "--y", "X3", "--z", "X4", "--w", "X0,X1,X2",
+                        "--policy-trials", "10", "--prior-trials", "40"),
     "rule1-separated": ("rule1", *TIKKA, "--y", "b", "--z", "a", "--pin-decision", "s=0",
                         *FEW_TRIALS),
     "rule1-not-separated": ("rule1", *TIKKA, "--y", "b", "--z", "a",

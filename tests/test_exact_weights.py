@@ -44,14 +44,19 @@ def random_model(rng, seed):
     return random_dag_model(rng, n=n, edge_prob=0.5)[0]
 
 
+def with_zero_mass(rng, space, prior):
+    """The prior with one random agent's mass moved onto its last label."""
+    masses = dict(prior.masses)
+    a = space.agents[int(rng.integers(len(space.agents)))]
+    labels = space.nature[a].elements
+    masses[a] = {lab: Fraction(lab == labels[-1]) for lab in labels}
+    return Prior(masses)
+
+
 def random_prior(rng, space, kind):
     """kind 0: small denominators; 1: one agent's mass on a single label; 2: large denominators."""
     if kind == 1:
-        masses = Prior.sample(space, rng).masses
-        a = space.agents[int(rng.integers(len(space.agents)))]
-        labels = space.nature[a].elements
-        masses[a] = {lab: Fraction(lab == labels[-1]) for lab in labels}
-        return Prior(masses)
+        return with_zero_mass(rng, space, Prior.sample(space, rng))
     if kind == 0:
         return Prior.sample(space, rng)
     masses = {}
@@ -187,17 +192,99 @@ def test_dropping_witness_is_first_long_key_then_smallest_target_code():
     assert seen["mismatch"] and seen["none"], seen
 
 
-def test_verify_docalculus_matches_fraction_path():
+def same_support_prior(rng, space, prior):
+    """A fresh prior that gives positive mass to the labels `prior` does, and
+    only those; its denominators are large when the prior's are."""
+    large = max(p.denominator for dist in prior.masses.values() for p in dist.values()) > 64
+    masses = {}
+    for a, dist in prior.masses.items():
+        labels = [lab for lab in space.nature[a].elements if dist[lab] > 0]
+        denom = int(rng.integers(2 ** 24, 2 ** 25) if large else rng.integers(len(labels), 65))
+        nums = 1 + rng.multinomial(denom - len(labels), [1 / len(labels)] * len(labels))
+        masses[a] = {lab: Fraction(0) for lab in space.nature[a].elements}
+        masses[a].update({lab: Fraction(int(k), denom) for lab, k in zip(labels, nums)})
+    return Prior(masses)
+
+
+def oracle_cell_sums(space, support, ctx, cells, masks):
+    """Reference mass of each (k), (k, a), (k, b) and (k, a, b) cell: the
+    oracle masses of the support inside the context, summed by label key."""
+    k, a, b = (space.mask_coords(mask) for mask in masks)
+    members = oracle._members(space, support, ctx)
+    out = []
+    for codes, coords in ((cells.k, k), (cells.ka, k + a), (cells.kb, k + b),
+                          (cells.kab, k + a + b)):
+        sums = {}
+        for i, p in members:
+            key = oracle._key_of(space, coords, i)
+            sums[key] = sums.get(key, Fraction(0)) + p
+        # codes are numbered by first occurrence, so unique's order is theirs
+        firsts = np.unique(codes, return_index=True)[1]
+        out.append([sums[oracle._key_of(space, coords, int(cells.index[j]))]
+                    for j in firsts])
+    return out
+
+
+def test_cells_built_under_one_prior_serve_another_with_its_support():
+    seen = Counter()
+    dec = probability._decision_mask
+    for seed, rng, m, profile, prior, ctx in cases(60):
+        space = m.space
+        other = same_support_prior(rng, space, prior)
+        index, _ = probability._inside(pushforward(m, profile, prior), ctx)
+        if not len(index):
+            continue
+        d = pushforward(m, profile, other)
+        inside, weights = probability._inside(d, ctx)
+        assert np.array_equal(inside, index)
+        support = oracle.pushforward(m, profile, other)
+        seen["zero-mass prior"] += len(support) < space.n_omega
+        seen["large-D"] += d.denom >= 2 ** 31
+        for _ in range(2):
+            masks = [random_mask(rng, m.agents) for _ in range(3)]
+            cells = probability._cells(space, index, *masks)
+            ok, *sums = probability._balance(cells, weights)
+            want = oracle_cell_sums(space, support, ctx, cells, masks)
+            assert [[Fraction(int(p), d.denom) for p in s] for s in sums] == want
+            g, a, b = masks
+            res = probability._ci_check(space, cells, weights, a, b, g)
+            assert (res.independent, res.witness) == \
+                oracle.cond_independent(space, support, a, b, g, ctx)
+            seen["dependent" if not res.independent else "independent"] += 1
+
+            y, z, w = random_disjoint_sets(rng, m.agents)
+            drop = probability._cells(space, index, dec(w), dec(w | z), dec(y))
+            got = probability._dropping_check(space, drop, weights, dec(y), dec(w | z))
+            assert got == expected_dropping(space, support, dec(y), dec(w), dec(w | z), ctx)
+            seen["none" if got is None else "mismatch"] += 1
+    assert min(seen[k] for k in ("zero-mass prior", "large-D", "dependent", "independent",
+                                 "none", "mismatch")) > 0, seen
+
+
+def test_verify_docalculus_matches_fraction_path(monkeypatch):
+    # log each solve and each cell build, to see which builds served which profile
+    log = []
+    solve_, cells_ = probability.solve, probability._cells
+    monkeypatch.setattr(probability, "solve", lambda *a: log.append("solve") or solve_(*a))
+    monkeypatch.setattr(probability, "_cells", lambda *a: log.append("cells") or cells_(*a))
     seen = Counter()
     for seed in range(40):
         rng = np.random.default_rng([23, seed])
         m = random_model(rng, seed)
-        m = WModel(m.space, m.info, prior=random_prior(rng, m.space, seed % 3), meta=m.meta)
+        # a model prior with a zero mass has a support of its own, while the
+        # full-support sampled priors share one
+        prior = with_zero_mass(rng, m.space, random_prior(rng, m.space, 2 * (seed % 2)))
+        m = WModel(m.space, m.info, prior=prior, meta=m.meta)
         y, z, w = random_disjoint_sets(rng, m.agents)
         ctx = random_context(rng, m.space)
-        rep = verify_docalculus(m, y, z, w, ctx, policy_trials=6, prior_trials=2, seed=seed)
-        want = oracle.verify_docalculus(m, y, z, w, ctx, policy_trials=6, prior_trials=2,
+        log.clear()
+        rep = verify_docalculus(m, y, z, w, ctx, policy_trials=6, prior_trials=5, seed=seed)
+        want = oracle.verify_docalculus(m, y, z, w, ctx, policy_trials=6, prior_trials=5,
                                         seed=seed)
+        per_profile = [seg.count("cells") // (1 + rep.separated)
+                       for seg in "".join(log).split("solve")]
+        seen["support shared"] += rep.checks_run > sum(per_profile)
+        seen["support split"] += max(per_profile) > 1
         failures = want.pop("failures")
         assert {k: getattr(rep, k) for k in want} == want
         assert len(rep.failures) == len(failures)
@@ -212,7 +299,8 @@ def test_verify_docalculus_matches_fraction_path():
         seen["violations observed"] += rep.ci_violations_observed
         seen["skipped zero mass"] += rep.skipped_zero_mass
     assert min(seen[k] for k in ("conditional-independence", "conditional-dropping",
-                                 "violations observed", "skipped zero mass")) > 0, seen
+                                 "violations observed", "skipped zero mass",
+                                 "support shared", "support split")) > 0, seen
 
 
 def test_exact_dist_rejects_bad_weights(xor_model):

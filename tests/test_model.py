@@ -5,8 +5,10 @@ import pytest
 
 from infodep.fieldcore import (
     ConfigSet,
+    ConfigSpace,
     Configuration,
     CoordinateMask,
+    FiniteSpace,
     partition_from_codes,
     trace,
 )
@@ -189,6 +191,14 @@ def nature_only_replacement(m, targets):
     }
 
 
+def ternary_decision_field(m, owner):
+    """A field of `owner` on a space with m's agent names and nature but
+    ternary decisions, so its atoms are indexed by other configurations."""
+    decisions = {a: FiniteSpace(f"u[{a}]", ("0", "1", "2")) for a in m.agents}
+    other = ConfigSpace(m.agents, dict(m.nature), decisions)
+    return InformationField.from_mask(other, owner, CoordinateMask({owner}, frozenset()))
+
+
 class TestIntervene:
     def test_structure(self, common_cause_model):
         m = common_cause_model
@@ -232,6 +242,18 @@ class TestIntervene:
                 ("T",), nature_only_replacement(common_cause_model, ("T",)),
                 switch_prob=Fraction(1),
             )
+
+    def test_replacement_on_resized_space_rejected(self, common_cause_model):
+        m = common_cause_model
+        spec = InterventionSpec(("T",), {"T": ternary_decision_field(m, "T")})
+        with pytest.raises(ModelError, match="replacement field for 'T' lives on a different"):
+            intervene(m, spec)
+
+    def test_model_field_on_resized_space_rejected(self, common_cause_model):
+        m = common_cause_model
+        info = dict(m.info, T=ternary_decision_field(m, "T"))
+        with pytest.raises(ModelError, match="field of 'T' lives on a different space"):
+            WModel(m.space, info, prior=m.prior)
 
     def test_partial_domain_replacement_rejected(self, common_cause_model):
         # outside its domain the replacement's atoms are -1, which would
@@ -328,6 +350,50 @@ class TestPrior:
     def test_negative_mass_rejected(self):
         with pytest.raises(ModelError):
             Prior({"a": {"0": Fraction(3, 2), "1": Fraction(-1, 2)}})
+
+    @pytest.mark.parametrize("dist, message", [
+        ({"0": Fraction(1, 3), "1": Fraction(1, 3)}, "does not sum to one exactly"),
+        ({"0": Fraction(2, 3), "1": Fraction(2, 3)}, "does not sum to one exactly"),
+        ({"0": Fraction(1, 2), "1": Fraction(1, 3), "2": Fraction(1, 7)},
+         "does not sum to one exactly"),
+        ({"0": Fraction(2 ** 70 - 1, 2 ** 70), "1": Fraction(0)}, "does not sum to one exactly"),
+        ({"0": "1/3", "1": "1/2"}, "does not sum to one exactly"),
+        ({}, "does not sum to one exactly"),
+        ({"0": Fraction(3, 2), "1": Fraction(-1, 2)}, "has a negative mass"),
+        ({"0": Fraction(-1, 3), "1": Fraction(1, 3)}, "has a negative mass"),
+    ])
+    def test_bad_priors_keep_their_messages(self, dist, message):
+        with pytest.raises(ModelError) as err:
+            Prior({"a": {"0": Fraction(1)}, "b": dist})
+        assert str(err.value) == f"prior for 'b' {message}"
+
+    def test_sum_check_agrees_with_fraction_sum(self):
+        rng = np.random.default_rng(5)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            masses = [Fraction(int(rng.integers(0, 8)), int(rng.integers(1, 9)))
+                      for _ in range(k - 1)]
+            # often complete the masses to one exactly, else leave them off by a little
+            rest = 1 - sum(masses, Fraction(0))
+            masses.append(rest if rng.random() < 0.5 else rest + Fraction(1, 97))
+            if min(masses) < 0:
+                continue
+            dist = {str(i): p for i, p in enumerate(masses)}
+            ok = sum(masses, Fraction(0)) == 1
+            seen[ok] += 1
+            if ok:
+                assert Prior({"a": dist}).masses == {"a": dist}
+            else:
+                with pytest.raises(ModelError, match="does not sum to one exactly"):
+                    Prior({"a": dist})
+        assert min(seen.values()) > 20, seen
+
+    def test_stored_masses_are_fractions(self):
+        p = Prior({"a": {0: "1/3", "1": Fraction(2, 3)}, "b": {"0": 1, "1": 0}})
+        assert p.masses == {"a": {"0": Fraction(1, 3), "1": Fraction(2, 3)},
+                            "b": {"0": Fraction(1), "1": Fraction(0)}}
+        assert all(type(v) is Fraction for dist in p.masses.values() for v in dist.values())
 
     def test_sampled_priors_are_exact_and_full_support(self, common_cause_model):
         rng = np.random.default_rng(0)

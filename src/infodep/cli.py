@@ -69,7 +69,7 @@ class ModelFileError(FieldcoreError):
 # ---------------------------------------------------------------------------
 
 def _parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ModelFileError(f"rational must be a 'p/q' string, got {text!r}")
@@ -179,7 +179,8 @@ def model_from_doc(doc: dict) -> WModel:
 
 def _parse_model_doc(doc: dict) -> WModel:
     _typed(doc, dict, "model file")
-    if doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ModelFileError("missing or unsupported format_version")
     agents = tuple(_list_of(_key(doc, "agents", "model file"), str, "'agents'"))
     nature_doc = _typed(_key(doc, "nature", "model file"), dict, "'nature'")
@@ -746,7 +747,7 @@ def causality(model_path, builtin_name, max_agents, out_path, fmt):
     """Search for a causal configuration-ordering; exit 0 found, 1 none."""
     m = _model(model_path, builtin_name)
     t0 = time.perf_counter()
-    phi = find_causal_ordering(m, max_agents=max_agents, max_configs=m.space.n_configs)
+    phi = find_causal_ordering(m, max_agents=max_agents)
     doc = {"verdict": "causal ordering found" if phi is not None
            else "no causal ordering found (exhaustive)"}
     if phi is not None:

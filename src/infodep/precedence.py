@@ -9,8 +9,9 @@ empty, and a row b outside W is one reduction along b's decision axis of
 the configuration space's axis view (`ConfigSpace.axis_sizes`).
 `precedes_oracle` keeps the literal enumeration as an independent check.
 
-Closures are least fixpoints of S -> S u P(S); a separation query searches
-the 2^|W| splittings of W in canonical binary order for disjoint closures.
+Closures are least fixpoints of S -> S u P(S).  A separation query needs
+no search over the 2^|W| splittings of W: one absorption pass sends to Y's
+side exactly the members of W that every separating splitting puts there.
 """
 
 from __future__ import annotations
@@ -258,12 +259,15 @@ def topologically_separated(
     ctx: ConfigSet | None = None,
     relation: PrecedenceRelation | None = None,
 ) -> SeparationCertificate | None:
-    """Search the splittings of w for disjoint closures of y u w_y and z u w_z.
+    """Split w into w_y and w_z so that y u w_y and z u w_z have disjoint closures.
 
-    Splittings are visited in increasing binary order over w sorted by the
-    canonical agent order (bit k set sends the k-th element to the y side);
-    the first success wins, so the result is deterministic.  Returns None
-    when every splitting fails.
+    A member of w whose closure meets the closure of y must sit on y's side
+    of any separating splitting, so one pass absorbs those members into w_y
+    until no more join, and the rest form w_z.  That splitting separates
+    whenever any does, and its w_y is a subset of every separating w_y: it
+    is the first success of the splittings in increasing binary order over
+    w sorted by the canonical agent order (bit k sends the k-th element to
+    the y side).  Returns None when its closures meet.
     """
     y = _as_agent_set(m, y, "Y")
     z = _as_agent_set(m, z, "Z")
@@ -272,14 +276,15 @@ def topologically_separated(
         raise FieldcoreError("Y, Z, W must be pairwise disjoint")
     rel = relation if relation is not None else precedes(m, w, ctx)
     # The closure of B is the foreset of the reflexive-transitive closure,
-    # so one matrix closure serves every splitting.
+    # so one matrix closure serves every foreset below.
     rstar = rel.reflexive_transitive_closure
-    w_sorted = [a for a in m.agents if a in w]
-    for bits in range(1 << len(w_sorted)):
-        w_y = frozenset(a for k, a in enumerate(w_sorted) if bits >> k & 1)
-        w_z = w - w_y
-        cl_y = rstar.foreset(y | w_y)
-        cl_z = rstar.foreset(z | w_z)
-        if not (cl_y & cl_z):
-            return SeparationCertificate(Splitting(w_y, w_z), cl_y, cl_z)
-    return None
+    fore = {a: rstar.foreset((a,)) for a in w}
+    w_y, cl_y = frozenset(), rstar.foreset(y)
+    while joined := frozenset(a for a in w - w_y if fore[a] & cl_y):
+        w_y |= joined
+        cl_y = cl_y.union(*(fore[a] for a in joined))
+    w_z = w - w_y
+    cl_z = rstar.foreset(z | w_z)
+    if cl_y & cl_z:
+        return None
+    return SeparationCertificate(Splitting(w_y, w_z), cl_y, cl_z)

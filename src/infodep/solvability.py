@@ -17,6 +17,7 @@ a nature axis and one decision axis per agent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -38,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_POLICY_ENUM_CAP = 200_000
 DEFAULT_SOLVABILITY_BUDGET = 50_000
 DEFAULT_SOLVABILITY_SAMPLES = 200
+# Cells the causal-ordering memo may hold, 3 bytes each: admits kuh
+# (128 * 3^7 = 279,936) and any 6-agent binary model (64 * 3^6 = 46,656).
+ORDERING_MEMO_CELLS = 1 << 20
 
 
 class UnsolvableProfileError(FieldcoreError):
@@ -342,9 +346,7 @@ def check_causal_ordering(m: "WModel", phi: CausalOrdering) -> CausalityCheck:
     return CausalityCheck(True)
 
 
-def find_causal_ordering(
-    m: "WModel", max_agents: int = 5, max_configs: int = 4096
-) -> CausalOrdering | None:
+def find_causal_ordering(m: "WModel", max_agents: int = 5) -> CausalOrdering | None:
     """Search for a causal configuration-ordering; None when none exists.
 
     A search cell is one value of (nature, u_U), U the agents already
@@ -355,16 +357,19 @@ def find_causal_ordering(
     is feasible for U plus the agent.  The first such agent in canonical
     order goes next, so the search is exhaustive and the returned ordering
     deterministic.  The memo is keyed by U and holds at most
-    n_omega * prod(1 + |U_a|) cells.
+    n_omega * prod(1 + |U_a|) cells; a model with more than
+    `ORDERING_MEMO_CELLS` is refused before anything is allocated.
     """
     n = len(m.agents)
     max_agents = min(max_agents, 63)  # NumPy arrays have at most 64 axes
     if n > max_agents:
         raise FieldcoreError(f"ordering search capped at {max_agents} agents")
     space = m.space
-    if space.n_configs > max_configs:
-        raise FieldcoreError(f"ordering search capped at {max_configs} configurations")
     sizes = space.axis_sizes  # axis 0 nature, axis 1 + i agent i's decision
+    cells = sizes[0] * math.prod(1 + size for size in sizes[1:])
+    if cells > ORDERING_MEMO_CELLS:
+        raise FieldcoreError(
+            f"ordering search capped at {ORDERING_MEMO_CELLS} memo cells (needs {cells})")
     atoms = [m.info[a].partition.atom_index.reshape(sizes, order="F") for a in m.agents]
     memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -78,6 +78,8 @@ MALFORMED_MODEL_FILES = {
     "atom-not-int": ("tikka-context", _set(("info", "b", "obs_table", 0, "atom"), "x")),
     "prob-list": ("witsenhausen-xor", _set(("nature", "X0", "prob"), ["1/2", "1/2"])),
     "policy-row-int": ("witsenhausen-xor", _set(("policies", "X0", 0), 5)),
+    "format-version-bool": ("witsenhausen-xor", _set(("format_version",), True)),
+    "prob-bool": ("witsenhausen-xor", _set(("nature", "X0", "prob"), {"0": True, "1": False})),
 }
 
 

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from infodep.fieldcore import ConfigSet, FieldcoreError, SpaceMismatchError
-from infodep.model import builtin
+from infodep.fieldcore import (
+    ConfigSet,
+    ConfigSpace,
+    CoordinateMask,
+    FieldcoreError,
+    FiniteSpace,
+    SpaceMismatchError,
+)
+from infodep.model import InformationField, WModel, builtin
 from infodep.precedence import (
     PrecedenceRelation,
+    SeparationCertificate,
+    Splitting,
     closure,
     is_closed,
     is_open,
@@ -17,8 +26,47 @@ from conftest import (
     context_model,
     random_context,
     random_disjoint_sets,
+    random_dag_model,
     random_mask_model,
 )
+
+
+def separated_oracle(m, y, z, w=(), ctx=None, relation=None):
+    """Reference for `topologically_separated`: the literal 2^|W| search.
+
+    Splittings are visited in increasing binary order over w sorted by the
+    canonical agent order (bit k set sends the k-th element to the y side);
+    the first with disjoint closures wins.  None when every splitting fails.
+    """
+    y, z, w = frozenset(y), frozenset(z), frozenset(w)
+    rel = relation if relation is not None else precedes(m, w, ctx)
+    rstar = rel.reflexive_transitive_closure
+    w_sorted = [a for a in m.agents if a in w]
+    for bits in range(1 << len(w_sorted)):
+        w_y = frozenset(a for k, a in enumerate(w_sorted) if bits >> k & 1)
+        w_z = w - w_y
+        cl_y = rstar.foreset(y | w_y)
+        cl_z = rstar.foreset(z | w_z)
+        if not (cl_y & cl_z):
+            return SeparationCertificate(Splitting(w_y, w_z), cl_y, cl_z)
+    return None
+
+
+def unit_model(n):
+    """n agents with one-point nature and decision spaces: one configuration,
+    so any relation can be handed to the relation layer as `relation=`."""
+    agents = tuple(f"A{i}" for i in range(n))
+    one = {a: FiniteSpace(f"s[{a}]", ("*",)) for a in agents}
+    space = ConfigSpace(agents, one, one)
+    return WModel(space, {a: InformationField.from_mask(space, a, CoordinateMask({a}, ()))
+                          for a in agents})
+
+
+def certificate_kind(cert):
+    if cert is None:
+        return "not-separated"
+    split = cert.splitting
+    return "split" if split.w_y and split.w_z else "one-sided"
 
 
 def context_kind(ctx):
@@ -273,3 +321,73 @@ class TestSeparation:
         if c1 is not None:
             # some splitting with swapped roles certifies the swapped query
             assert {c2.closure_y, c2.closure_z} is not None
+
+
+class TestSeparationOracle:
+    """The absorption pass returns the splitting search's first certificate."""
+
+    def test_random_relations(self):
+        rng = np.random.default_rng(5150)
+        models = {n: unit_model(n) for n in range(3, 14)}
+        kinds, largest_w = set(), 0
+        for _ in range(1500):
+            n = int(rng.integers(3, 14))
+            m = models[n]
+            rel = PrecedenceRelation(m.agents, rng.random((n, n)) < rng.uniform(0.02, 0.3))
+            agents = list(m.agents)
+            rng.shuffle(agents)
+            ny, nz = 1 + int(rng.integers(2)), 1
+            nw = int(rng.integers(0, min(10, n - ny - nz) + 1))
+            y, z = agents[:ny], agents[ny:ny + nz]
+            w = agents[ny + nz:ny + nz + nw]
+            cert = topologically_separated(m, y, z, w, relation=rel)
+            assert cert == separated_oracle(m, y, z, w, relation=rel)
+            kinds.add(certificate_kind(cert))
+            largest_w = max(largest_w, len(w))
+        assert kinds == {"not-separated", "one-sided", "split"}
+        assert largest_w == 10
+
+    def test_random_models_all_context_kinds(self):
+        rng = np.random.default_rng(6160)
+        ctx_kinds, kinds = set(), set()
+        for i in range(300):
+            if i % 2:
+                m = random_mask_model(rng, n_agents=int(rng.integers(3, 7)),
+                                      edge_prob=float(rng.uniform(0.15, 0.45)))
+            else:
+                m = random_dag_model(rng, n=int(rng.integers(3, 7)),
+                                     edge_prob=float(rng.uniform(0.2, 0.5)))[0]
+            y, z, w = random_disjoint_sets(rng, m.agents)
+            ctx = random_context(rng, m.space)
+            cert = topologically_separated(m, y, z, w, ctx)
+            assert cert == separated_oracle(m, y, z, w, ctx)
+            ctx_kinds.add(context_kind(ctx))
+            kinds.add(certificate_kind(cert))
+        assert ctx_kinds == {"full", "pinned", "random"}
+        assert kinds == {"not-separated", "one-sided", "split"}
+
+    def test_thirty_member_w(self):
+        # 2^30 splittings: out of reach for the search, one pass for absorption.
+        # Arcs stay inside two random halves, so the closures of the halves
+        # never meet; Y sits in one half and Z in the other.
+        rng = np.random.default_rng(40)
+        m = unit_model(40)
+        agents = list(m.agents)
+        half = rng.permutation(40) < 20
+        arcs = (rng.random((40, 40)) < 0.15) & (half[:, None] == half[None, :])
+        rel = PrecedenceRelation(m.agents, arcs)
+        y = [next(a for a, h in zip(agents, half) if h)]
+        z = [next(a for a, h in zip(agents, half) if not h)]
+        w = [a for a in agents if a not in y + z][:30]
+        cert = topologically_separated(m, y, z, w, relation=rel)
+        assert cert is not None
+        split = cert.splitting
+        assert split.w_y and split.w_z and split.w_y | split.w_z == set(w)
+        assert not (cert.closure_y & cert.closure_z)
+        assert cert.closure_y == closure(m, set(y) | split.w_y, relation=rel)
+        assert cert.closure_z == closure(m, set(z) | split.w_z, relation=rel)
+        # one arc from Y into Z puts Y's agent in both closures
+        arcs = arcs.copy()
+        arcs[agents.index(y[0]), agents.index(z[0])] = True
+        rel = PrecedenceRelation(m.agents, arcs)
+        assert topologically_separated(m, y, z, w, relation=rel) is None

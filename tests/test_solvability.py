@@ -3,7 +3,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from infodep import _kernels
+from infodep import _kernels, solvability
 from infodep.fieldcore import (
     ConfigSet,
     ConfigSpace,
@@ -547,7 +547,7 @@ class TestCausalOrdering:
 
     def test_find_on_dag_model(self, kuh_model):
         # 7 agents exceeds the default cap; raise it for this DAG
-        phi = find_causal_ordering(kuh_model, max_agents=7, max_configs=20_000)
+        phi = find_causal_ordering(kuh_model, max_agents=7)
         assert phi is not None
         assert check_causal_ordering(kuh_model, phi).ok
 
@@ -567,7 +567,7 @@ class TestCausalOrdering:
         with pytest.raises(FieldcoreError):
             CausalOrdering(tuple(common_cause_model.agents), bad)
 
-    def test_search_takes_at_most_63_agents(self):
+    def test_search_takes_at_most_63_agents(self, monkeypatch):
         # one array axis per agent plus nature; NumPy allows 64 axes
         def trivial_model(n):
             agents = tuple(f"A{i}" for i in range(n))
@@ -576,10 +576,27 @@ class TestCausalOrdering:
             return WModel(space, {a: InformationField.from_mask(
                 space, a, CoordinateMask({a}, frozenset(agents[:1]) - {a})) for a in agents})
 
+        # The memo bound of 2^63 cells exceeds the budget, although this
+        # search fills only the 64 cells of one chain of agent sets.
+        cap = f"capped at {solvability.ORDERING_MEMO_CELLS} memo cells"
+        with pytest.raises(FieldcoreError, match=cap):
+            find_causal_ordering(trivial_model(63), max_agents=64)
+        monkeypatch.setattr(solvability, "ORDERING_MEMO_CELLS", 1 << 63)
         phi = find_causal_ordering(trivial_model(63), max_agents=64)
         assert phi.ordering_at(0) == tuple(f"A{i}" for i in range(63))
         with pytest.raises(FieldcoreError, match="capped at 63 agents"):
             find_causal_ordering(trivial_model(64), max_agents=64)
+
+    def test_memo_budget_checked_before_search(self, kuh_model, monkeypatch):
+        cells = 128 * 3 ** 7
+        assert cells <= solvability.ORDERING_MEMO_CELLS
+        monkeypatch.setattr(solvability, "ORDERING_MEMO_CELLS", cells - 1)
+        monkeypatch.setattr(solvability.np, "full", None)  # the memo's allocator
+        with pytest.raises(FieldcoreError, match=f"needs {cells}"):
+            find_causal_ordering(kuh_model, max_agents=7)
+        monkeypatch.undo()
+        monkeypatch.setattr(solvability, "ORDERING_MEMO_CELLS", cells)
+        assert find_causal_ordering(kuh_model, max_agents=7) is not None
 
     def test_ordering_with_wrong_row_count_rejected(self, common_cause_model):
         rows = np.tile(np.arange(3, dtype=np.int16), (10, 1))
@@ -624,7 +641,7 @@ class TestCausalOrdering:
         cases += [(random_mask_model(rng, 6, edge_prob=0.35), 6) for _ in range(3)]
         cases.append((kuh_model, 7))
         for m, n in cases:
-            phi = find_causal_ordering(m, max_agents=n, max_configs=20_000)
+            phi = find_causal_ordering(m, max_agents=n)
             ref = find_causal_ordering_oracle(m, max_agents=n, max_configs=20_000)
             assert (phi is None) == (ref is None)
             if phi is not None:

@@ -48,7 +48,6 @@ from .precedence import (
     Splitting,
     closure,
     is_closed,
-    is_open,
     precedes,
     precedes_oracle,
     topologically_separated,

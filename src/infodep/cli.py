@@ -553,9 +553,10 @@ def dsep(model_path, builtin_name, edges_text, y, z, w, out_path, fmt):
     if edges_text is not None:
         pairs = []
         for chunk in filter(None, (c.strip() for c in edges_text.split(";"))):
-            if "->" not in chunk:
+            ends = tuple(s.strip() for s in chunk.split("->"))
+            if len(ends) != 2 or not all(ends):
                 raise FieldcoreError(f"bad edge {chunk!r}")
-            pairs.append(tuple(s.strip() for s in chunk.split("->", 1)))
+            pairs.append(ends)
         # nodes in order of first mention, edges first
         nodes = dict.fromkeys([x for edge in pairs for x in edge] + y + z + w)
         g = Dag(tuple(nodes), set(pairs))

@@ -82,9 +82,6 @@ class CoordinateMask:
     def intersection(self, other: "CoordinateMask") -> "CoordinateMask":
         return CoordinateMask(self.nature & other.nature, self.decision & other.decision)
 
-    def issubset(self, other: "CoordinateMask") -> bool:
-        return self.nature <= other.nature and self.decision <= other.decision
-
 
 @dataclass(frozen=True)
 class ConfigSpace:
@@ -181,9 +178,6 @@ class ConfigSpace:
             c for c in self.coords
             if (c[0] == "n" and c[1] in mask.nature) or (c[0] == "u" and c[1] in mask.decision)
         )
-
-    def full_mask(self) -> CoordinateMask:
-        return CoordinateMask(frozenset(self.agents), frozenset(self.agents))
 
     def mask_codes(self, mask: CoordinateMask,
                    index: np.ndarray | None = None) -> tuple[np.ndarray, int]:
@@ -389,17 +383,11 @@ class Partition:
     def is_full_domain(self) -> bool:
         return bool(self.atom_index.min() >= 0)
 
-    def domain_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.atom_index >= 0)
-
     def atom_of(self, cfg: Configuration) -> int:
         atom = int(self.atom_index[self.space.index_of(cfg)])
         if atom < 0:
             raise FieldcoreError("configuration lies outside the partition domain")
         return atom
-
-    def atom_members(self, atom: int) -> np.ndarray:
-        return np.flatnonzero(self.atom_index == atom)
 
     def representatives(self) -> list[int]:
         """First configuration index of each atom, in atom order."""

@@ -298,10 +298,6 @@ class Dag:
     def has_self_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
 
-    def topological_order(self) -> tuple[str, ...] | None:
-        """Some topological order, or None when the graph has a cycle."""
-        return self._topological_order
-
     def is_acyclic(self) -> bool:
         return self._topological_order is not None
 

@@ -9,9 +9,11 @@ empty, and a row b outside W is one reduction along b's decision axis of
 the configuration space's axis view (`ConfigSpace.axis_sizes`).
 `precedes_oracle` keeps the literal enumeration as an independent check.
 
-Closures are least fixpoints of S -> S u P(S).  A separation query needs
-no search over the 2^|W| splittings of W: one absorption pass sends to Y's
-side exactly the members of W that every separating splitting puts there.
+The closure of B, the least fixpoint of S -> S u P(S), is the foreset of B
+under the reflexive-transitive closure R*, which one Warshall pass builds
+once per relation.  A separation query needs no search over the 2^|W|
+splittings of W: one absorption pass sends to Y's side exactly the members
+of W that every separating splitting puts there.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class PrecedenceRelation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=bool)
+        # a copy, so the caller's array stays writeable and cannot change us
+        m = np.array(self.matrix, dtype=bool, order="C")
         n = len(self.agents)
         if m.shape != (n, n):
             raise FieldcoreError("relation matrix does not match the agent list")
@@ -53,10 +56,6 @@ class PrecedenceRelation:
 
     def _idx(self, agent: str) -> int:
         return self.agents.index(agent)
-
-    def _check_compatible(self, other: "PrecedenceRelation") -> None:
-        if self.agents != other.agents:
-            raise FieldcoreError("relations are indexed by different agents")
 
     def holds(self, b: str, a: str) -> bool:
         return bool(self.matrix[self._idx(b), self._idx(a)])
@@ -73,35 +72,19 @@ class PrecedenceRelation:
         rows = self.matrix[:, cols].any(axis=1)
         return frozenset(b for b, bit in zip(self.agents, rows) if bit)
 
-    def converse(self) -> "PrecedenceRelation":
-        return PrecedenceRelation(self.agents, self.matrix.T)
-
-    def compose(self, other: "PrecedenceRelation") -> "PrecedenceRelation":
-        """(b, a) in self.compose(other) iff b self d and d other a for some d."""
-        self._check_compatible(other)
-        m = (self.matrix.astype(np.int8) @ other.matrix.astype(np.int8)) > 0
-        return PrecedenceRelation(self.agents, m)
-
     def diagonal_restrict(self, keep: Iterable[str]) -> "PrecedenceRelation":
         """Delta_keep composed with self: clear every row outside `keep`."""
         keep = set(keep)
-        m = self.matrix.copy()
-        for i, b in enumerate(self.agents):
-            if b not in keep:
-                m[i, :] = False
-        return PrecedenceRelation(self.agents, m)
-
-    def transitive_closure(self) -> "PrecedenceRelation":
-        m = self.matrix.copy()
-        n = len(self.agents)
-        for k in range(n):
-            m |= np.outer(m[:, k], m[k, :])
-        return PrecedenceRelation(self.agents, m)
+        rows = np.fromiter((b in keep for b in self.agents), bool, len(self.agents))
+        return PrecedenceRelation(self.agents, self.matrix & rows[:, None])
 
     @cached_property
     def reflexive_transitive_closure(self) -> "PrecedenceRelation":
-        """Computed once per relation; `closure` and separation queries share it."""
-        m = self.transitive_closure().matrix | np.eye(len(self.agents), dtype=bool)
+        """R*: one Warshall pass over R | I, computed once per relation, so
+        `closure` and separation queries share it."""
+        m = self.matrix | np.eye(len(self.agents), dtype=bool)
+        for k in range(len(self.agents)):
+            m |= np.outer(m[:, k], m[k, :])
         return PrecedenceRelation(self.agents, m)
 
     def __eq__(self, other):
@@ -240,17 +223,6 @@ def is_closed(
     return rel.foreset(b) <= b
 
 
-def is_open(
-    m: "WModel",
-    b: Iterable[str],
-    w: Iterable[str] = (),
-    ctx: ConfigSet | None = None,
-    relation: PrecedenceRelation | None = None,
-) -> bool:
-    b = _as_agent_set(m, b, "B")
-    return is_closed(m, frozenset(m.agents) - b, w, ctx, relation)
-
-
 def topologically_separated(
     m: "WModel",
     y: Iterable[str],
@@ -275,8 +247,8 @@ def topologically_separated(
     if (y & z) or (y & w) or (z & w):
         raise FieldcoreError("Y, Z, W must be pairwise disjoint")
     rel = relation if relation is not None else precedes(m, w, ctx)
-    # The closure of B is the foreset of the reflexive-transitive closure,
-    # so one matrix closure serves every foreset below.
+    # The closure of B is its foreset under R*, so one Warshall pass serves
+    # every foreset below.
     rstar = rel.reflexive_transitive_closure
     fore = {a: rstar.foreset((a,)) for a in w}
     w_y, cl_y = frozenset(), rstar.foreset(y)

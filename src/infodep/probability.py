@@ -163,9 +163,6 @@ class ConditionalTable:
     rows: Mapping[tuple, Mapping[tuple, Fraction]]
     empty_context: bool = False
 
-    def row(self, given_key: tuple) -> Mapping[tuple, Fraction]:
-        return self.rows[given_key]
-
     def value(self, given_key: tuple, target_key: tuple) -> Fraction:
         return self.rows.get(given_key, {}).get(target_key, Fraction(0))
 

@@ -66,10 +66,6 @@ class Policy:
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
-    def decision_label(self, m: "WModel", cfg: Configuration) -> str:
-        atom = m.info[self.owner].partition.atom_of(cfg)
-        return m.decisions[self.owner].elements[int(self.table[atom])]
-
     def __eq__(self, other):
         return (
             isinstance(other, Policy)
@@ -190,9 +186,6 @@ class SolutionMap:
             idx += sp.index(omega[a]) * stride
             stride *= sp.size
         return idx
-
-    def multiplicity(self, omega: Mapping[str, str]) -> int:
-        return int(self.counts[self._omega_index(omega)])
 
     def solution(self, omega: Mapping[str, str]) -> Configuration:
         c = int(self.config_index[self._omega_index(omega)])

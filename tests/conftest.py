@@ -1,3 +1,5 @@
+from graphlib import TopologicalSorter
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,16 @@ def tikka_model():
 @pytest.fixture(scope="session")
 def spirtes_model():
     return builtin("spirtes-discrete")
+
+
+def full_mask(space):
+    """The mask that sees every coordinate of the space."""
+    return CoordinateMask(space.agents, space.agents)
+
+
+def topological_order(g):
+    """Some topological order of an acyclic `Dag`, from the standard library."""
+    return tuple(TopologicalSorter({v: g.parents(v) for v in g.nodes}).static_order())
 
 
 def binary_spaces(agents):

@@ -22,7 +22,7 @@ from infodep.model import (
 )
 from infodep.precedence import (
     closure,
-    is_open,
+    is_closed,
     precedes,
     precedes_oracle,
     topologically_separated,
@@ -47,11 +47,13 @@ from infodep.solvability import (
 from infodep.dsep import equivalence_harness
 
 from conftest import (
+    full_mask,
     mutual_observation_model,
     random_context,
     random_disjoint_sets,
     random_dag_model,
     random_mask_model,
+    topological_order,
 )
 from test_solvability import sequential_decisions
 
@@ -194,7 +196,7 @@ def test_criterion_6_precedence_oracle_and_closure_laws():
             c = b | frozenset(a for a in agents if rng.random() < 0.3)
             assert cl_b <= closure(m, c, w, ctx, relation=fast)
             assert closure(m, (), w, ctx, relation=fast) == frozenset()
-            assert is_open(m, w, w, ctx, relation=fast)
+            assert is_closed(m, set(agents) - w, w, ctx, relation=fast)  # W is open
             models += 1
     report(6, f"fast conditional precedence equals the exponential oracle on"
               f" {models} random models; closure laws hold", sw.elapsed, 120.0)
@@ -275,7 +277,7 @@ def test_criterion_8_factorization(xor_model):
 def test_criterion_9_causality(xor_model, common_cause_model, kuh_model):
     with Stopwatch() as sw:
         for m, order in ((common_cause_model, ("Z", "T", "Y")),
-                         (kuh_model, kuh_model.meta.source_dag.topological_order())):
+                         (kuh_model, topological_order(kuh_model.meta.source_dag))):
             phi = CausalOrdering.constant(m, order)
             assert check_causal_ordering(m, phi).ok
         assert find_causal_ordering(xor_model) is None
@@ -300,7 +302,7 @@ def test_criterion_10_intervention_consistency(common_cause_model):
         spec = InterventionSpec(("T",), repl)
         m2 = intervene(m, spec)
 
-        base_mask = m.space.full_mask()
+        base_mask = full_mask(m.space)
         from fractions import Fraction
 
         for _ in range(5):

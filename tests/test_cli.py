@@ -281,6 +281,10 @@ USAGE_ERRORS = {
     "separate-unwritable-out": ("separate", *XOR_Q, "--w", "X0,X1,X2", "--out", "{missing}"),
     "precedence-tsv-unwritable-out": ("precedence", "--builtin", "kuh", "--format", "tsv",
                                       "--out", "{missing}"),
+    "dsep-edge-without-tail": ("dsep", "--edges", "->B", "--y", "A", "--z", "B"),
+    "dsep-edge-without-head": ("dsep", "--edges", "A->", "--y", "A", "--z", "B"),
+    "dsep-edge-with-blank-head": ("dsep", "--edges", "A-> ", "--y", "A", "--z", "B"),
+    "dsep-edge-with-two-arrows": ("dsep", "--edges", "A->B->C", "--y", "A", "--z", "C"),
 }
 
 

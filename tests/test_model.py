@@ -32,7 +32,7 @@ from infodep.precedence import precedes
 from infodep.solvability import Policy, PolicyProfile, sample_policies, sample_profiles, solve
 from infodep import probability
 
-from conftest import binary_spaces, context_model, random_dag_model
+from conftest import binary_spaces, context_model, full_mask, random_dag_model
 
 
 def common_cause_scm():
@@ -296,7 +296,7 @@ class TestIntervene:
         spec = InterventionSpec(("T",), nature_only_replacement(m, ("T",)))
         m2 = intervene(m, spec)
         rng = np.random.default_rng(3)
-        base_mask = m.space.full_mask()
+        base_mask = full_mask(m.space)
         for _ in range(3):
             profile = sample_profiles(m, 1, rng)[0]
             prior = Prior.sample(m.space, rng)

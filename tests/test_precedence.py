@@ -16,7 +16,6 @@ from infodep.precedence import (
     Splitting,
     closure,
     is_closed,
-    is_open,
     precedes,
     precedes_oracle,
     topologically_separated,
@@ -50,6 +49,25 @@ def separated_oracle(m, y, z, w=(), ctx=None, relation=None):
         if not (cl_y & cl_z):
             return SeparationCertificate(Splitting(w_y, w_z), cl_y, cl_z)
     return None
+
+
+def rstar_oracle(rel):
+    """Reference for `reflexive_transitive_closure`: the two-step form it
+    replaced, a Warshall pass over R for R+ and then the diagonal."""
+    m = rel.matrix.copy()
+    for k in range(len(rel.agents)):
+        m |= np.outer(m[:, k], m[k, :])
+    return PrecedenceRelation(rel.agents, m | np.eye(len(rel.agents), dtype=bool))
+
+
+def restrict_oracle(rel, keep):
+    """Reference for `diagonal_restrict`: clear each row outside `keep` in turn."""
+    keep = set(keep)
+    m = rel.matrix.copy()
+    for i, b in enumerate(rel.agents):
+        if b not in keep:
+            m[i, :] = False
+    return PrecedenceRelation(rel.agents, m)
 
 
 def unit_model(n):
@@ -202,17 +220,22 @@ class TestForeignContext:
 
 
 class TestRelationAlgebra:
-    def test_converse_and_compose(self):
+    def test_reflexive_transitive_closure_of_a_chain(self):
         agents = ("a", "b", "c")
         m = np.zeros((3, 3), dtype=bool)
         m[0, 1] = True  # a precedes b
         m[1, 2] = True  # b precedes c
-        rel = PrecedenceRelation(agents, m)
-        assert rel.converse().holds("b", "a")
-        assert rel.compose(rel).holds("a", "c")
-        assert not rel.compose(rel).holds("a", "b")
-        star = rel.reflexive_transitive_closure
+        star = PrecedenceRelation(agents, m).reflexive_transitive_closure
         assert star.holds("a", "c") and star.holds("a", "a")
+        assert not star.holds("c", "a")
+
+    def test_caller_array_stays_writeable_and_detached(self):
+        a = np.zeros((2, 2), dtype=bool)
+        rel = PrecedenceRelation(("a", "b"), a)
+        assert a.flags.writeable and rel.matrix is not a
+        a[0, 1] = True
+        assert not rel.holds("a", "b")
+        assert not rel.matrix.flags.writeable
 
     def test_foreset(self):
         agents = ("a", "b", "c")
@@ -221,6 +244,39 @@ class TestRelationAlgebra:
         rel = PrecedenceRelation(agents, m)
         assert rel.foreset({"b"}) == {"a", "c"}
         assert rel.foreset(()) == frozenset()
+
+
+class TestRelationFold:
+    """One Warshall pass over R | I, and one row mask, equal the code they replaced."""
+
+    def test_random_relations(self):
+        rng = np.random.default_rng(7070)
+        for n in range(1, 14):
+            agents = tuple(f"A{i}" for i in range(n))
+            for density in (0.0, 1.0, *rng.uniform(0.02, 0.5, 20)):
+                rel = PrecedenceRelation(agents, rng.random((n, n)) < density)
+                assert rel.reflexive_transitive_closure == rstar_oracle(rel)
+                for keep in ((), agents, [a for a in agents if rng.random() < 0.5]):
+                    restricted = rel.diagonal_restrict(keep)
+                    assert restricted == restrict_oracle(rel, keep)
+                    assert restricted.reflexive_transitive_closure == rstar_oracle(restricted)
+
+    def test_precedes_relations_under_contexts(self):
+        rng = np.random.default_rng(7171)
+        kinds = set()
+        for i in range(120):
+            m = (context_model(rng, self_observing=bool(rng.integers(2))) if i % 2
+                 else random_mask_model(rng, local_noise=False))
+            w = frozenset(a for a in m.agents if rng.random() < 0.3)
+            ctx = random_context(rng, m.space)
+            rel = precedes(m, (), ctx)
+            keep = set(m.agents) - w
+            restricted = rel.diagonal_restrict(keep)
+            assert restricted == restrict_oracle(rel, keep) == precedes(m, w, ctx)
+            for r in (rel, restricted):
+                assert r.reflexive_transitive_closure == rstar_oracle(r)
+            kinds.add(context_kind(ctx))
+        assert kinds == {"full", "pinned", "random"}
 
 
 class TestClosure:
@@ -257,7 +313,7 @@ class TestClosure:
             if b <= s and is_closed(m, s, w, ctx, relation=rel)
         ]
         assert cl_b == frozenset.intersection(*closed_supersets)
-        assert is_open(m, w, w, ctx, relation=rel)        # W itself is open
+        assert is_closed(m, set(agents) - w, w, ctx, relation=rel)  # W itself is open
         assert is_closed(m, agents, w, ctx, relation=rel)
         # arbitrary unions of closed sets stay closed
         d = frozenset(a for a in agents if rng.random() < 0.5)
@@ -265,21 +321,23 @@ class TestClosure:
         assert is_closed(m, cl_b | cl_d, w, ctx, relation=rel)
 
     def test_one_matrix_closure_per_relation(self, xor_model, monkeypatch):
+        # a Warshall pass is one outer product per agent; one pass serves the
+        # separation query and both closures after it
         w = {"X0", "X1", "X2"}
         rel = precedes(xor_model, w)
         calls = []
-        original = PrecedenceRelation.transitive_closure
+        original = np.outer
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
 
-        monkeypatch.setattr(PrecedenceRelation, "transitive_closure", counting)
+        monkeypatch.setattr(np, "outer", counting)
         cert = topologically_separated(xor_model, {"X3"}, {"X4"}, w, relation=rel)
         split = cert.splitting
         assert closure(xor_model, {"X3"} | split.w_y, relation=rel) == cert.closure_y
         assert closure(xor_model, {"X4"} | split.w_z, relation=rel) == cert.closure_z
-        assert len(calls) == 1
+        assert len(calls) == len(xor_model.agents)
 
     def test_x2_not_closed_in_xor(self, xor_model):
         assert not is_closed(xor_model, {"X2"})
@@ -311,16 +369,27 @@ class TestSeparation:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_symmetry(self, seed):
+        # about one draw in ten is separated, so each seed draws 40 queries
         rng = np.random.default_rng(3000 + seed)
-        m = random_mask_model(rng, n_agents=5)
-        y, z, w = random_disjoint_sets(rng, m.agents)
-        ctx = random_context(rng, m.space)
-        c1 = topologically_separated(m, y, z, w, ctx)
-        c2 = topologically_separated(m, z, y, w, ctx)
-        assert (c1 is None) == (c2 is None)
-        if c1 is not None:
-            # some splitting with swapped roles certifies the swapped query
-            assert {c2.closure_y, c2.closure_z} is not None
+        separated = 0
+        for _ in range(40):
+            m = random_mask_model(rng, n_agents=5)
+            y, z, w = random_disjoint_sets(rng, m.agents)
+            ctx = random_context(rng, m.space)
+            c1 = topologically_separated(m, y, z, w, ctx)
+            c2 = topologically_separated(m, z, y, w, ctx)
+            assert (c1 is None) == (c2 is None)
+            if c1 is None:
+                continue
+            separated += 1
+            # c2 certifies the swapped query with its own splitting's closures
+            assert c2.closure_y == closure(m, set(z) | c2.splitting.w_y, w, ctx)
+            assert c2.closure_z == closure(m, set(y) | c2.splitting.w_z, w, ctx)
+            # each pass absorbs the least set, so neither w_y exceeds the
+            # other query's w_z; the swapped closures need not be c1's
+            assert c2.splitting.w_y <= c1.splitting.w_z
+            assert c1.splitting.w_y <= c2.splitting.w_z
+        assert separated > 0
 
 
 class TestSeparationOracle:

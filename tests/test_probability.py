@@ -26,7 +26,7 @@ from infodep.solvability import (
     sample_profiles,
 )
 
-from conftest import mutual_observation_model, random_dag_model
+from conftest import full_mask, mutual_observation_model, random_dag_model
 
 
 def u_mask(agents):
@@ -121,7 +121,7 @@ class TestConditional:
     def test_full_conditioning_is_degenerate(self, xor_model):
         dist = pushforward(xor_model, xor_model.canonical_profile)
         table = conditional(dist, CondQuery(
-            u_mask({"X4"}), xor_model.space.full_mask()
+            u_mask({"X4"}), full_mask(xor_model.space)
         ))
         for g, row in table.rows.items():
             assert list(row.values()) == [Fraction(1)]
@@ -412,7 +412,7 @@ class TestInterventionConsistency:
         spec = InterventionSpec(("T",), repl)
         m2 = intervene(m, spec)
         rng = np.random.default_rng(9)
-        base_mask = m.space.full_mask()
+        base_mask = full_mask(m.space)
         for _ in range(4):
             profile = sample_profiles(m, 1, rng)[0]
             prior = Prior.sample(m.space, rng)

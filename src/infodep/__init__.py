@@ -10,19 +10,14 @@ from .fieldcore import (
     ConfigSpace,
     Configuration,
     CoordinateMask,
-    EmptyContextError,
     FieldcoreError,
     FiniteSpace,
     Partition,
     SpaceMismatchError,
-    field_subset_on,
     field_subset_witness,
     partition_from_codes,
     partition_from_mask,
     partition_from_observation,
-    project,
-    refines,
-    trace,
 )
 from .model import (
     Dag,

@@ -18,7 +18,8 @@ from .fieldcore import FieldcoreError
 from .model import Dag, dag_to_idm
 from .precedence import SeparationCertificate, precedes, topologically_separated
 
-DEFAULT_ORACLE_MAX_NODES = 10
+ORACLE_MAX_NODES = 10
+HARNESS_MAX_W = 4
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,11 @@ def d_separated(g: Dag, q: DsepQuery) -> bool:
     return True
 
 
-def d_separated_oracle(
-    g: Dag, q: DsepQuery, max_nodes: int = DEFAULT_ORACLE_MAX_NODES
-) -> bool:
+def d_separated_oracle(g: Dag, q: DsepQuery) -> bool:
     """Literal definition: every simple path between y and z is blocked."""
     _check_query(g, q)
-    if len(g.nodes) > max_nodes:
-        raise FieldcoreError(f"oracle capped at {max_nodes} nodes")
+    if len(g.nodes) > ORACLE_MAX_NODES:
+        raise FieldcoreError(f"oracle capped at {ORACLE_MAX_NODES} nodes")
     if not g.is_acyclic():
         raise FieldcoreError("d-separation requires an acyclic graph")
     neighbors = {v: set(g.parents(v)) | set(g.children(v)) for v in g.nodes}
@@ -170,12 +169,12 @@ class HarnessReport:
 
 
 def equivalence_harness(
-    n_graphs: int, n: int, edge_prob: float, seed: int = 0, max_w: int = 4
+    n_graphs: int, n: int, edge_prob: float, seed: int = 0
 ) -> HarnessReport:
     """Compare d-separation with topological separation on random DAG models.
 
     For every graph, every unordered pair of distinct nodes (y, z) and every
-    conditioning set of at most `max_w` remaining nodes is queried both
+    conditioning set of at most `HARNESS_MAX_W` remaining nodes is queried both
     ways.  Any disagreement is returned in full; none is expected.
     """
     rng = np.random.default_rng(seed)
@@ -192,7 +191,7 @@ def equivalence_harness(
                 rest = [v for v in nodes if v not in (y, z)]
                 for bits in range(1 << len(rest)):
                     w = frozenset(v for k, v in enumerate(rest) if bits >> k & 1)
-                    if len(w) > max_w:
+                    if len(w) > HARNESS_MAX_W:
                         continue
                     rel = base.diagonal_restrict(set(nodes) - w)
                     cert = topologically_separated(m, {y}, {z}, w, relation=rel)

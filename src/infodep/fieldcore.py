@@ -1,12 +1,11 @@
 """Finite set/partition algebra for configuration spaces.
 
-Every sigma-field handled by this package is a complete field over a finite
-set, so it is stored as the partition of the configuration space into its
-atoms: a single integer array mapping configuration index -> atom id, with
--1 at the configurations outside the field's domain (a trace field's
-context).  Those -1 entries are the only record of the domain.  All field
-relations (subfield, trace, containment over a context set) reduce to
-constancy checks of one labeling over the fibers of another.
+Every sigma-field handled by this package is a complete field on the whole
+configuration space, so it is stored as the partition of the space into its
+atoms: a single integer array mapping configuration index -> atom id.  The
+one field relation the engine needs, containment of traces over a context
+set, reduces to a constancy check of one labeling over the fibers of
+another (`field_subset_witness`), so no trace field is ever built.
 
 Configurations are enumerated in a fixed mixed-radix order: nature
 coordinates in agent order, then decision coordinates in agent order, the
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 
-DEFAULT_MAX_CONFIGS = 2 ** 24
+MAX_CONFIGS = 2 ** 24
 
 
 class FieldcoreError(ValueError):
@@ -32,10 +31,6 @@ class FieldcoreError(ValueError):
 
 
 class SpaceMismatchError(FieldcoreError):
-    pass
-
-
-class EmptyContextError(FieldcoreError):
     pass
 
 
@@ -79,9 +74,6 @@ class CoordinateMask:
         object.__setattr__(self, "nature", frozenset(self.nature))
         object.__setattr__(self, "decision", frozenset(self.decision))
 
-    def intersection(self, other: "CoordinateMask") -> "CoordinateMask":
-        return CoordinateMask(self.nature & other.nature, self.decision & other.decision)
-
 
 @dataclass(frozen=True)
 class ConfigSpace:
@@ -90,7 +82,6 @@ class ConfigSpace:
     agents: tuple[str, ...]
     nature: Mapping[str, FiniteSpace]
     decisions: Mapping[str, FiniteSpace]
-    max_configs: int = DEFAULT_MAX_CONFIGS
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -106,9 +97,9 @@ class ConfigSpace:
         total = 1
         for a in self.agents:
             total *= self.nature[a].size * self.decisions[a].size
-            if total > self.max_configs:
+            if total > MAX_CONFIGS:
                 raise FieldcoreError(
-                    f"configuration space exceeds the cap of {self.max_configs} points"
+                    f"configuration space exceeds the cap of {MAX_CONFIGS} points"
                 )
         object.__setattr__(self, "_n_configs", total)
 
@@ -225,6 +216,17 @@ class ConfigSpace:
             out[a] = sp.elements[rest % sp.size]
             rest //= sp.size
         return out
+
+    def omega_index(self, labels: Mapping[str, str]) -> int:
+        """Index of a nature point given by its labels; inverse of `omega_labels_at`."""
+        idx, stride = 0, 1
+        for a in self.agents:
+            if a not in labels:
+                raise FieldcoreError(f"missing nature coordinate for agent {a!r}")
+            sp = self.nature[a]
+            idx += sp.index(labels[a]) * stride
+            stride *= sp.size
+        return idx
 
 
 @dataclass(frozen=True)
@@ -345,10 +347,6 @@ class ConfigSet:
     def is_full(self) -> bool:
         return bool(self.member_mask.all())
 
-    def intersection(self, other: "ConfigSet") -> "ConfigSet":
-        _require_same_space(self.space, other.space)
-        return ConfigSet(self.space, self.member_mask & other.member_mask)
-
     def __eq__(self, other):
         return (
             isinstance(other, ConfigSet)
@@ -364,10 +362,9 @@ class ConfigSet:
 class Partition:
     """A finite complete field, identified with its atom labeling.
 
-    `atom_index[i]` is the atom of configuration i, or -1 when i lies outside
-    the field's domain; the -1 entries are the domain, and a field over the
-    whole space has none.  Atom ids are canonical: contiguous from 0,
-    numbered by first occurrence in enumeration order.
+    `atom_index[i]` is the atom of configuration i, for every configuration
+    of the space.  Atom ids are canonical: contiguous from 0, numbered by
+    first occurrence in enumeration order.
     """
 
     space: ConfigSpace
@@ -378,21 +375,15 @@ class Partition:
         object.__setattr__(self, "atom_index", _frozen_array(self.atom_index))
         if self.atom_index.shape != (self.space.n_configs,):
             raise FieldcoreError("atom index array has the wrong length")
-
-    @property
-    def is_full_domain(self) -> bool:
-        return bool(self.atom_index.min() >= 0)
+        if self.atom_index.min() < 0:
+            raise FieldcoreError("atom ids must be nonnegative")
 
     def atom_of(self, cfg: Configuration) -> int:
-        atom = int(self.atom_index[self.space.index_of(cfg)])
-        if atom < 0:
-            raise FieldcoreError("configuration lies outside the partition domain")
-        return atom
+        return int(self.atom_index[self.space.index_of(cfg)])
 
     def representatives(self) -> list[int]:
         """First configuration index of each atom, in atom order."""
-        atoms, first = np.unique(self.atom_index, return_index=True)
-        return first[atoms >= 0].tolist()
+        return np.unique(self.atom_index, return_index=True)[1].tolist()
 
     def __eq__(self, other):
         return (
@@ -424,15 +415,6 @@ def first_occurrence(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # operations
 # ---------------------------------------------------------------------------
 
-def project(cfg: Configuration, mask: CoordinateMask) -> tuple[str, ...]:
-    """Masked coordinate labels of a configuration, in canonical coordinate order."""
-    space = cfg.space
-    out = []
-    for kind, agent in space.mask_coords(mask):
-        out.append(cfg.nature_part[agent] if kind == "n" else cfg.decision_part[agent])
-    return tuple(out)
-
-
 def partition_from_mask(space: ConfigSpace, mask: CoordinateMask) -> Partition:
     """Field generated by the masked coordinates: atoms = joint level sets."""
     codes, n_codes = space.mask_codes(mask)
@@ -440,25 +422,18 @@ def partition_from_mask(space: ConfigSpace, mask: CoordinateMask) -> Partition:
 
 
 def partition_from_observation(
-    space: ConfigSpace,
-    obs: Callable[[Configuration], object] | Sequence[object],
+    space: ConfigSpace, obs: Callable[[Configuration], object]
 ) -> Partition:
     """Field generated by an arbitrary total observation map (atoms = level sets)."""
-    if callable(obs):
-        labels = [obs(space.config_at(i)) for i in range(space.n_configs)]
-    else:
-        labels = list(obs)
-        if len(labels) != space.n_configs:
-            raise FieldcoreError("observation sequence has the wrong length")
     seen: dict[object, int] = {}
     raw = np.empty(space.n_configs, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        raw[i] = seen.setdefault(lab, len(seen))
+    for i in range(space.n_configs):
+        raw[i] = seen.setdefault(obs(space.config_at(i)), len(seen))
     return Partition(space, raw, len(seen))
 
 
 def partition_from_codes(space: ConfigSpace, raw: np.ndarray | Sequence[int]) -> Partition:
-    """Full-domain partition from an arbitrary integer labeling (canonicalized)."""
+    """Partition from an arbitrary integer labeling (canonicalized)."""
     raw = np.ascontiguousarray(raw, dtype=np.int64)
     if raw.shape != (space.n_configs,):
         raise FieldcoreError("code array has the wrong length")
@@ -466,52 +441,19 @@ def partition_from_codes(space: ConfigSpace, raw: np.ndarray | Sequence[int]) ->
     return Partition(space, atom_index, len(first))
 
 
-def refines(p: Partition, q: Partition) -> bool:
-    """True iff every atom of p lies inside a single atom of q (q subfield of p)."""
-    _require_same_space(p.space, q.space)
-    domain = p.atom_index >= 0
-    if not np.array_equal(domain, q.atom_index >= 0):
-        raise FieldcoreError("refinement compares partitions over the same domain")
-    ok, _, _ = _kernels.group_constant(
-        p.atom_index[domain], q.atom_index[domain], p.atom_count
-    )
-    return bool(ok)
-
-
-def trace(p: Partition, ctx: ConfigSet) -> Partition:
-    """Trace field of p over a nonempty subset of configurations."""
-    _require_same_space(p.space, ctx.space)
-    if ctx.size == 0:
-        raise EmptyContextError("trace over an empty configuration set")
-    atoms = p.atom_index[ctx.indices]
-    if atoms.min() < 0:
-        raise FieldcoreError("trace context must lie inside the partition domain")
-    ranks, first = first_occurrence(atoms)
-    atom_index = np.full(p.space.n_configs, -1, dtype=np.int64)
-    atom_index[ctx.indices] = ranks
-    return Partition(p.space, atom_index, len(first))
-
-
-def field_subset_on(p: Partition, mask: CoordinateMask, ctx: ConfigSet) -> bool:
-    """Is the trace of p on ctx contained in the trace of the mask field?
-
-    Equivalently: configurations of ctx that agree on all masked coordinates
-    always share a p-atom.
-    """
-    return field_subset_witness(p, mask, ctx) is None
-
-
 def field_subset_witness(
     p: Partition, mask: CoordinateMask, ctx: ConfigSet
 ) -> tuple[Configuration, Configuration] | None:
-    """None when contained; otherwise a pair of configurations in ctx that
-    agree on the masked coordinates but sit in different p-atoms."""
+    """Is the trace of p on ctx contained in the trace of the mask field?
+
+    None when it is, i.e. when configurations of ctx that agree on every
+    masked coordinate always share a p-atom; otherwise the first such pair
+    in ctx that sits in different p-atoms.
+    """
     _require_same_space(p.space, ctx.space)
-    if not p.is_full_domain:
-        raise FieldcoreError("containment test expects a full-domain field")
     members = ctx.indices
     if members.shape[0] == 0:
-        raise EmptyContextError("containment test over an empty context")
+        raise FieldcoreError("containment test over an empty context")
     codes, n_codes = p.space.mask_codes(mask, members)
     ok, i, j = _kernels.group_constant(codes, p.atom_index[members], n_codes)
     if ok:

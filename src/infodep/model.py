@@ -39,6 +39,9 @@ from .fieldcore import (
 from .solvability import Policy, PolicyProfile
 
 
+SAMPLE_MAX_DENOMINATOR = 64
+
+
 class ModelError(FieldcoreError):
     pass
 
@@ -131,14 +134,17 @@ class Prior:
         })
 
     @staticmethod
-    def sample(space: ConfigSpace, rng: np.random.Generator,
-               max_denominator: int = 64) -> "Prior":
-        """Random full-support rational prior with small denominators."""
+    def sample(space: ConfigSpace, rng: np.random.Generator) -> "Prior":
+        """Random full-support rational prior with small denominators.
+
+        An agent with k labels gets a denominator drawn from
+        [k, max(k, SAMPLE_MAX_DENOMINATOR)].
+        """
         masses = {}
         for a in space.agents:
             labels = space.nature[a].elements
             k = len(labels)
-            denom = int(rng.integers(k, max_denominator + 1))
+            denom = int(rng.integers(k, max(k, SAMPLE_MAX_DENOMINATOR) + 1))
             extra = rng.multinomial(denom - k, [1.0 / k] * k)
             masses[a] = {lab: Fraction(1 + int(e), denom) for lab, e in zip(labels, extra)}
         return Prior(masses)
@@ -170,8 +176,6 @@ class WModel:
             if f.owner != a:
                 raise ModelError(f"field stored under {a!r} is owned by {f.owner!r}")
             _require_space(f, self.space, f"field of {a!r}")
-            if not f.partition.is_full_domain:
-                raise ModelError(f"field of {a!r} must be a full-domain partition")
         if self.prior is not None:
             for a in self.space.agents:
                 if a not in self.prior.masses:
@@ -411,9 +415,6 @@ class InterventionSpec:
             raise ModelError("switch probability must have full support (0 < p < 1)")
         if set(self.replacement_fields) != set(self.targets):
             raise ModelError("replacement fields must cover the targets exactly")
-        for z, f in self.replacement_fields.items():
-            if not f.partition.is_full_domain:
-                raise ModelError(f"replacement field for {z!r} must be a full-domain partition")
 
 
 def intervene(m: WModel, spec: InterventionSpec) -> WModel:
@@ -440,7 +441,7 @@ def intervene(m: WModel, spec: InterventionSpec) -> WModel:
     decisions = dict(m.decisions)
     nature[i_name] = FiniteSpace.binary(f"omega[{i_name}]")
     decisions[i_name] = FiniteSpace.binary(f"u[{i_name}]")
-    new_space = ConfigSpace(agents, nature, decisions, max_configs=m.space.max_configs)
+    new_space = ConfigSpace(agents, nature, decisions)
 
     base_idx, _ = new_space.mask_codes(CoordinateMask(m.agents, m.agents))
     switch = new_space.coord_values(("u", i_name))

@@ -29,13 +29,13 @@ from .fieldcore import (
     CoordinateMask,
     FieldcoreError,
     _require_same_space,
-    field_subset_on,
+    field_subset_witness,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import WModel
 
-DEFAULT_ORACLE_MAX_AGENTS = 12
+ORACLE_MAX_AGENTS = 12
 
 
 @dataclass(frozen=True)
@@ -171,15 +171,14 @@ def precedes_oracle(
     m: "WModel",
     w: Iterable[str] = (),
     ctx: ConfigSet | None = None,
-    max_agents: int = DEFAULT_ORACLE_MAX_AGENTS,
 ) -> PrecedenceRelation:
     """Literal intersection over all 2^|A| candidate sets B."""
     w = _as_agent_set(m, w, "W")
     ctx = _context(m, ctx)
     agents = list(m.agents)
     n = len(agents)
-    if n > max_agents:
-        raise FieldcoreError(f"oracle capped at {max_agents} agents (got {n})")
+    if n > ORACLE_MAX_AGENTS:
+        raise FieldcoreError(f"oracle capped at {ORACLE_MAX_AGENTS} agents (got {n})")
     all_nature = frozenset(agents)
     matrix = np.zeros((n, n), dtype=bool)
     for j, a in enumerate(agents):
@@ -187,7 +186,7 @@ def precedes_oracle(
         for bits in range(1 << n):
             b_set = frozenset(agents[k] for k in range(n) if bits >> k & 1)
             mask = CoordinateMask(all_nature, b_set | w)
-            if field_subset_on(m.info[a].partition, mask, ctx):
+            if field_subset_witness(m.info[a].partition, mask, ctx) is None:
                 inter &= b_set
         for i, b in enumerate(agents):
             matrix[i, j] = b in inter

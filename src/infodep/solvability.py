@@ -179,16 +179,9 @@ class SolutionMap:
     def n_omega(self) -> int:
         return self.counts.shape[0]
 
-    def _omega_index(self, omega: Mapping[str, str]) -> int:
-        idx, stride = 0, 1
-        for a in self.space.agents:
-            sp = self.space.nature[a]
-            idx += sp.index(omega[a]) * stride
-            stride *= sp.size
-        return idx
-
     def solution(self, omega: Mapping[str, str]) -> Configuration:
-        c = int(self.config_index[self._omega_index(omega)])
+        """The unique closed-loop configuration S(omega) at the nature labels omega."""
+        c = int(self.config_index[self.space.omega_index(omega)])
         if c < 0:
             raise UnsolvableProfileError("no unique solution at this nature point")
         return self.space.config_at(c)

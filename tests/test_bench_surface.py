@@ -32,3 +32,20 @@ def test_tiny_probes_run(perfbench):
     out = probes.run_probes(tiny=True)
     assert list(out) == list(probes.PROBES)
     assert all(ms >= 0 for ms in out.values())
+
+
+@pytest.mark.parametrize("name", ["separation", "exact_law", "solvability"])
+def test_tiny_workload_batch_runs_and_checks(perfbench, name):
+    # every library call a workload times, with its checks, as the run makes them
+    workloads = importlib.import_module("workloads")
+    spec = workloads.WORKLOADS[name]
+    verdicts = spec.batch(workloads.batch_rng(0, 0), 0, True)
+    assert verdicts
+    digests = []
+    for v in verdicts:
+        result = v.call()
+        digests.append(v.check(result))
+        if v.deep is not None:
+            v.deep(result)
+    if spec.untimed_check is not None:
+        spec.untimed_check(digests)

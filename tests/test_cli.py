@@ -298,6 +298,27 @@ class TestExitCodeContract:
         assert "Traceback" not in res.output
         assert not (tmp_path / "no-such-dir").exists()
 
+    def test_docalc_with_65_nature_labels(self, runner, tmp_path):
+        # a sampled prior over k labels needs a denominator of at least k
+        labels = [str(v) for v in range(65)]
+        doc = {
+            "format_version": 1,
+            "agents": ["a", "b"],
+            "nature": {"a": {"labels": labels, "prob": {v: "1/65" for v in labels}},
+                       "b": {"labels": ["0"], "prob": {"0": "1"}}},
+            "decisions": {"a": ["0", "1"], "b": ["0", "1"]},
+            "info": {"a": {"mask": {"nature": ["a"], "decision": []}},
+                     "b": {"mask": {"nature": ["b"], "decision": []}}},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["docalc", "--model", str(path), "--y", "a", "--z", "b",
+                                   "--policy-trials", "1", "--prior-trials", "2"])
+        assert res.exit_code == 0, res.output
+        out = json.loads(res.output)
+        assert out["verdict"] == "SEPARATED" and out["failures"] == []
+        assert out["checks_run"] > 0
+
 
 class TestSeededReproducibility:
     def test_docalc_identical_under_seed(self, runner):

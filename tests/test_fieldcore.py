@@ -9,18 +9,14 @@ from infodep.fieldcore import (
     ConfigSpace,
     Configuration,
     CoordinateMask,
-    EmptyContextError,
     FieldcoreError,
     FiniteSpace,
-    field_subset_on,
     field_subset_witness,
     partition_from_codes,
     partition_from_mask,
     partition_from_observation,
-    project,
-    refines,
-    trace,
 )
+from infodep.solvability import solve
 
 from conftest import binary_spaces, context_model, full_mask, random_context
 
@@ -43,6 +39,18 @@ def cfg(space, omega, u):
     return Configuration(space, omega, u)
 
 
+def contained(p, mask, ctx):
+    """Is the trace of p on ctx contained in the trace of the mask field?"""
+    return field_subset_witness(p, mask, ctx) is None
+
+
+def rand_mask(rng, agents, prob):
+    return CoordinateMask(
+        frozenset(a for a in agents if rng.random() < prob),
+        frozenset(a for a in agents if rng.random() < prob),
+    )
+
+
 class TestSpaces:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(FieldcoreError):
@@ -53,10 +61,11 @@ class TestSpaces:
             FiniteSpace("bad", ())
 
     def test_size_guard(self):
-        agents = tuple(f"A{i}" for i in range(4))
+        # 4**13 = 2**26 configurations: refused before anything is allocated
+        agents = tuple(f"A{i}" for i in range(13))
         nature, decisions = binary_spaces(agents)
-        with pytest.raises(FieldcoreError):
-            ConfigSpace(agents, nature, decisions, max_configs=100)
+        with pytest.raises(FieldcoreError, match="exceeds the cap"):
+            ConfigSpace(agents, nature, decisions)
 
     def test_coordinate_keys_must_match_agents(self):
         agents = ("a", "b")
@@ -66,9 +75,10 @@ class TestSpaces:
             ConfigSpace(agents, nature, decisions)
 
     def test_index_roundtrip(self):
-        space = three_agent_space()
+        space, twin = three_agent_space(), three_agent_space()
         for i in range(space.n_configs):
             assert space.config_at(i).index == i
+            assert twin.index_of(space.config_at(i)) == i
 
     def test_config_set_indices_checked(self):
         space = three_agent_space()
@@ -79,27 +89,28 @@ class TestSpaces:
         assert ends.indices.tolist() == [0, space.n_configs - 1]
 
 
-class TestProject:
-    def test_decision_selection(self):
-        space = three_agent_space()
-        c = cfg(space, {"Z": "0", "T": "1", "Y": "0"}, {"Z": "1", "T": "0", "Y": "1"})
-        assert project(c, CoordinateMask(frozenset(), {"Z", "T"})) == ("1", "0")
+class TestOmegaIndex:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_roundtrip_over_every_omega(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        space = context_model(rng).space
+        for om in range(space.n_omega):
+            labels = space.omega_labels_at(om)
+            assert space.omega_index(labels) == om
+            # the configuration index of (omega, u) is omega + n_omega * u
+            assert space.config_at(om).nature_part == labels
 
-    def test_full_mask_is_identity(self):
+    def test_missing_agent_rejected(self):
         space = three_agent_space()
-        c = cfg(space, {"Z": "0", "T": "1", "Y": "0"}, {"Z": "1", "T": "0", "Y": "1"})
-        assert project(c, full_mask(space)) == ("0", "1", "0", "1", "0", "1")
-
-    def test_nature_selection(self):
-        space = three_agent_space()
-        c = cfg(space, {"Z": "0", "T": "1", "Y": "0"}, {"Z": "1", "T": "0", "Y": "1"})
-        assert project(c, CoordinateMask({"T"}, frozenset())) == ("1",)
-
-    def test_unknown_agent_rejected(self):
-        space = three_agent_space()
-        c = space.config_at(0)
+        with pytest.raises(FieldcoreError, match="missing nature coordinate for agent 'T'"):
+            space.omega_index({"Z": "0", "Y": "1"})
         with pytest.raises(FieldcoreError):
-            project(c, CoordinateMask({"Q"}, frozenset()))
+            space.omega_index({"Z": "0", "T": "2", "Y": "1"})
+
+    def test_solution_missing_agent_rejected(self, xor_model):
+        sol = solve(xor_model, xor_model.canonical_profile)
+        with pytest.raises(FieldcoreError, match="missing nature coordinate"):
+            sol.solution({"X0": "1"})
 
 
 class TestPartitionFromMask:
@@ -117,6 +128,11 @@ class TestPartitionFromMask:
         space = three_agent_space()
         p = partition_from_mask(space, full_mask(space))
         assert p.atom_count == space.n_configs
+
+    def test_unknown_agent_rejected(self):
+        space = three_agent_space()
+        with pytest.raises(FieldcoreError):
+            partition_from_mask(space, CoordinateMask({"Q"}, frozenset()))
 
     def test_atoms_are_canonical_and_nonempty(self):
         space = three_agent_space()
@@ -156,100 +172,75 @@ class TestPartitionFromObservation:
 
     def test_identity_observation_is_discrete(self):
         space = three_agent_space()
-        p = partition_from_observation(space, list(range(space.n_configs)))
+        p = partition_from_observation(space, lambda c: c.index)
         assert p.atom_count == space.n_configs
 
 
 class TestRefines:
+    """Refinement of fields: the field of p lies in the field of mask m
+    exactly when m's partition refines p's, which `field_subset_witness`
+    decides on the full context."""
+
     def test_discrete_refines_trivial(self):
         space = three_agent_space()
+        full = ConfigSet.full(space)
         disc = partition_from_mask(space, full_mask(space))
         triv = partition_from_mask(space, CoordinateMask())
-        assert refines(disc, triv)
-        assert not refines(triv, disc)
+        assert contained(triv, full_mask(space), full)
+        assert not contained(disc, CoordinateMask(), full)
 
     def test_coarser_mask_is_refined(self):
         space = three_agent_space()
-        zt = partition_from_mask(space, CoordinateMask(frozenset(), {"Z", "T"}))
         z = partition_from_mask(space, CoordinateMask(frozenset(), {"Z"}))
-        assert refines(zt, z)
+        assert contained(z, CoordinateMask(frozenset(), {"Z", "T"}), ConfigSet.full(space))
 
     def test_incomparable_masks(self):
         space = three_agent_space()
+        full = ConfigSet.full(space)
         z = partition_from_mask(space, CoordinateMask(frozenset(), {"Z"}))
         t = partition_from_mask(space, CoordinateMask(frozenset(), {"T"}))
-        assert not refines(z, t)
-        assert not refines(t, z)
+        assert not contained(t, CoordinateMask(frozenset(), {"Z"}), full)
+        assert not contained(z, CoordinateMask(frozenset(), {"T"}), full)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mask_refinement_iff_mask_containment(self, seed):
+        # the field of m2 lies in the field of m1 iff m2's coordinates are among m1's
         rng = np.random.default_rng(seed)
         space = three_agent_space()
-        agents = list(space.agents)
-
-        def rand_mask():
-            return CoordinateMask(
-                frozenset(a for a in agents if rng.random() < 0.4),
-                frozenset(a for a in agents if rng.random() < 0.4),
-            )
-
-        m1, m2 = rand_mask(), rand_mask()
-        p1, p2 = partition_from_mask(space, m1), partition_from_mask(space, m2)
-        assert refines(p1, p2) == (m2.nature <= m1.nature and m2.decision <= m1.decision)
+        m1, m2 = rand_mask(rng, space.agents, 0.4), rand_mask(rng, space.agents, 0.4)
+        p2 = partition_from_mask(space, m2)
+        assert contained(p2, m1, ConfigSet.full(space)) == (
+            m2.nature <= m1.nature and m2.decision <= m1.decision)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partial_order_laws_on_random_partitions(self, seed):
+        # field containment is a partial order: a random field p and random
+        # mask fields m1, m2 on the (u_a, u_s) square
         rng = np.random.default_rng(100 + seed)
         space = switch_square_space()
-        parts = [
-            partition_from_observation(
-                space, [int(x) for x in rng.integers(0, 3, space.n_configs)]
-            )
-            for _ in range(3)
-        ]
-        p, q, r = parts
-        assert refines(p, p)  # reflexive
-        if refines(p, q) and refines(q, r):
-            assert refines(p, r)  # transitive
-        if refines(p, q) and refines(q, p):
-            assert p == q  # antisymmetric up to canonical relabeling
+        full = ConfigSet.full(space)
+        p = partition_from_codes(space, rng.integers(0, 3, space.n_configs))
+        m1, m2 = rand_mask(rng, space.agents, 0.5), rand_mask(rng, space.agents, 0.5)
+        q1, q2 = partition_from_mask(space, m1), partition_from_mask(space, m2)
+        assert contained(q1, m1, full)  # reflexive
+        if contained(p, m1, full) and contained(q1, m2, full):
+            assert contained(p, m2, full)  # transitive
+        if contained(q1, m2, full) and contained(q2, m1, full):
+            assert q1 == q2  # antisymmetric up to canonical relabeling
 
 
 class TestTrace:
-    def test_trace_on_full_space_is_identity(self):
-        space = three_agent_space()
-        p = partition_from_mask(space, CoordinateMask({"Z"}, {"T"}))
-        assert trace(p, ConfigSet.full(space)) == p
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_full_space_trace_refines_like_the_field(self, seed):
-        # the domain is the -1 entries, so a full-space trace has the
-        # field's own domain and compares with it
-        rng = np.random.default_rng(300 + seed)
-        space = switch_square_space()
-        p, q = (partition_from_codes(space, rng.integers(0, 3, space.n_configs))
-                for _ in range(2))
-        full = ConfigSet.full(space)
-        assert refines(p, trace(q, full)) == refines(p, q)
-        assert refines(trace(p, full), q) == refines(p, q)
-
-    def test_domain_is_the_traced_context(self):
-        space = three_agent_space()
-        p = partition_from_mask(space, CoordinateMask({"Z"}, {"T"}))
-        h = ConfigSet.from_pins(space, decision={"Z": "0"})
-        t = trace(p, h)
-        assert p.is_full_domain and not t.is_full_domain
-        assert np.array_equal(np.flatnonzero(t.atom_index >= 0), h.indices)
-        with pytest.raises(FieldcoreError):
-            refines(t, p)
-        with pytest.raises(FieldcoreError):
-            trace(t, ConfigSet.from_pins(space, decision={"Z": "1"}))
+    """Trace fields on a context, never built: `field_subset_witness`
+    compares them by reading the field's atoms at the context's members."""
 
     def test_trace_of_discrete_is_discrete(self):
+        # on u_Z = 1 the discrete field's trace needs every coordinate but u_Z
         space = three_agent_space()
         p = partition_from_mask(space, full_mask(space))
         ctx = ConfigSet.from_pins(space, decision={"Z": "1"})
-        assert trace(p, ctx).atom_count == ctx.size
+        assert contained(p, CoordinateMask(space.agents, {"T", "Y"}), ctx)
+        assert not contained(p, CoordinateMask(space.agents, {"Z", "T"}), ctx)
+        assert not contained(p, CoordinateMask(space.agents, {"T", "Y"}), ConfigSet.full(space))
 
     def test_trace_of_switch_field_hides_ua(self):
         space = switch_square_space()
@@ -258,31 +249,44 @@ class TestTrace:
             return c.decision_part["a"] if c.decision_part["s"] == "1" else "-"
 
         p = partition_from_observation(space, obs)
-        ctx = ConfigSet.from_pins(space, decision={"s": "0"})
-        assert trace(p, ctx).atom_count == 1
+        assert contained(p, CoordinateMask(), ConfigSet.from_pins(space, decision={"s": "0"}))
+        assert not contained(p, CoordinateMask(), ConfigSet.full(space))
 
     def test_trace_tower_law(self):
-        space = three_agent_space()
-        p = partition_from_mask(space, CoordinateMask({"Z"}, {"T", "Y"}))
-        h = ConfigSet.from_pins(space, decision={"Z": "0"})
-        h2 = h.intersection(ConfigSet.from_pins(space, decision={"T": "1"}))
-        assert trace(trace(p, h), h2) == trace(p, h2)
+        # a trace only gets coarser on a smaller context: containment on h
+        # holds on every h2 inside h, and a violation on h2 is one on h
+        rng = np.random.default_rng(800)
+        for _ in range(6):
+            m = context_model(rng)
+            space = m.space
+            h = random_context(rng, space) or ConfigSet.full(space)
+            h2 = ConfigSet(space, h.member_mask & (rng.random(space.n_configs) < 0.5))
+            if h2.size == 0:
+                h2 = ConfigSet.from_indices(space, h.indices[:1])
+            for f in m.info.values():
+                mask = rand_mask(rng, space.agents, 0.5)
+                w, w2 = (field_subset_witness(f.partition, mask, c) for c in (h, h2))
+                if w is None:
+                    assert w2 is None
+                if w2 is not None:
+                    c1, c2 = w2
+                    assert f.partition.atom_of(c1) != f.partition.atom_of(c2)
+                    assert h.member_mask[c1.index] and h.member_mask[c2.index]
 
     def test_empty_context_rejected(self):
         space = three_agent_space()
         p = partition_from_mask(space, CoordinateMask())
-        with pytest.raises(EmptyContextError):
-            trace(p, ConfigSet.from_indices(space, []))
+        with pytest.raises(FieldcoreError, match="containment test over an empty context"):
+            field_subset_witness(p, CoordinateMask(), ConfigSet.from_indices(space, []))
 
 
 def representatives_oracle(p):
     """Reference for `Partition.representatives`: the first index of each
-    atom, found by walking the domain in order."""
+    atom, found by walking the space in order."""
     reps = [-1] * p.atom_count
-    for i in np.flatnonzero(p.atom_index >= 0):
-        a = int(p.atom_index[i])
+    for i, a in enumerate(p.atom_index.tolist()):
         if reps[a] < 0:
-            reps[a] = int(i)
+            reps[a] = i
     return reps
 
 
@@ -292,12 +296,24 @@ class TestRepresentatives:
         rng = np.random.default_rng(400 + seed)
         m = context_model(rng)
         for f in m.info.values():
-            p = f.partition
-            ctx = random_context(rng, m.space) or ConfigSet.full(m.space)
-            for part in (p, trace(p, ctx)):
-                reps = part.representatives()
-                assert reps == representatives_oracle(part)
-                assert all(type(r) is int for r in reps)
+            reps = f.partition.representatives()
+            assert reps == representatives_oracle(f.partition)
+            assert all(type(r) is int for r in reps)
+
+
+def field_subset_witness_oracle(p, mask, ctx):
+    """Reference for `field_subset_witness`: walk the members of ctx in
+    order and return the first one whose atom differs from that of the
+    first member with the same masked labels."""
+    first = {}
+    for i in ctx.indices.tolist():
+        c = p.space.config_at(i)
+        key = tuple(c.nature_part[a] if kind == "n" else c.decision_part[a]
+                    for kind, a in p.space.mask_coords(mask))
+        j = first.setdefault(key, i)
+        if p.atom_index[j] != p.atom_index[i]:
+            return p.space.config_at(j), c
+    return None
 
 
 class TestFieldSubsetOn:
@@ -305,7 +321,7 @@ class TestFieldSubsetOn:
         space = three_agent_space()
         p = partition_from_mask(space, CoordinateMask(frozenset(), {"Z"}))
         full = ConfigSet.full(space)
-        assert field_subset_on(p, CoordinateMask({"Y"}, {"Z", "T"}), full)
+        assert contained(p, CoordinateMask({"Y"}, {"Z", "T"}), full)
 
     def test_switch_field_contained_only_on_inactive_context(self):
         space = switch_square_space()
@@ -317,8 +333,7 @@ class TestFieldSubsetOn:
         no_a = CoordinateMask({"a", "s"}, {"s"})
         h0 = ConfigSet.from_pins(space, decision={"s": "0"})
         h1 = ConfigSet.from_pins(space, decision={"s": "1"})
-        assert field_subset_on(p, no_a, h0)
-        assert not field_subset_on(p, no_a, h1)
+        assert contained(p, no_a, h0)
         w = field_subset_witness(p, no_a, h1)
         assert w is not None
         c1, c2 = w
@@ -335,26 +350,32 @@ class TestFieldSubsetOn:
         ]
         p = partition_from_mask(space, CoordinateMask({"Z"}, {"Y"}))
         for mk in masks:
-            assert field_subset_on(p, mk, full) == refines(partition_from_mask(space, mk), p)
+            assert field_subset_witness(p, mk, full) == field_subset_witness_oracle(p, mk, full)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mask_intersection_law(self, seed):
         # containment in two product fields implies containment in their meet
         rng = np.random.default_rng(seed)
         space = three_agent_space()
-        agents = list(space.agents)
         full = ConfigSet.full(space)
+        m1, m2 = rand_mask(rng, space.agents, 0.6), rand_mask(rng, space.agents, 0.6)
+        p = partition_from_mask(space, rand_mask(rng, space.agents, 0.6))
+        if contained(p, m1, full) and contained(p, m2, full):
+            meet = CoordinateMask(m1.nature & m2.nature, m1.decision & m2.decision)
+            assert contained(p, meet, full)
 
-        def rand_mask():
-            return CoordinateMask(
-                frozenset(a for a in agents if rng.random() < 0.6),
-                frozenset(a for a in agents if rng.random() < 0.6),
-            )
-
-        m1, m2 = rand_mask(), rand_mask()
-        p = partition_from_mask(space, rand_mask())
-        if field_subset_on(p, m1, full) and field_subset_on(p, m2, full):
-            assert field_subset_on(p, m1.intersection(m2), full)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_witness_matches_member_walk(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        m = context_model(rng)
+        space = m.space
+        for f in m.info.values():
+            for p in (f.partition, partition_from_codes(
+                    space, rng.integers(0, 1 + int(rng.integers(1, 4)), space.n_configs))):
+                mask = rand_mask(rng, space.agents, 0.5)
+                ctx = random_context(rng, space) or ConfigSet.full(space)
+                assert field_subset_witness(p, mask, ctx) == \
+                    field_subset_witness_oracle(p, mask, ctx)
 
 
 def group_constant_oracle(codes, values, n_codes):

@@ -8,9 +8,10 @@ from infodep.fieldcore import (
     ConfigSpace,
     Configuration,
     CoordinateMask,
+    FieldcoreError,
     FiniteSpace,
+    Partition,
     partition_from_codes,
-    trace,
 )
 from infodep.model import (
     Dag,
@@ -256,13 +257,14 @@ class TestIntervene:
             WModel(m.space, info, prior=m.prior)
 
     def test_partial_domain_replacement_rejected(self, common_cause_model):
-        # outside its domain the replacement's atoms are -1, which would
-        # silently share one lifted atom
+        # atoms of -1 outside a context would silently share one lifted
+        # atom, so a partition must label every configuration
         m = common_cause_model
         f = m.info["T"].partition
-        partial = trace(f, ConfigSet.from_pins(m.space, nature={"Z": "0"}))
-        with pytest.raises(ModelError, match="full-domain"):
-            InterventionSpec(("T",), {"T": InformationField("T", partial)})
+        outside = ~ConfigSet.from_pins(m.space, nature={"Z": "0"}).member_mask
+        atoms = np.where(outside, -1, f.atom_index)
+        with pytest.raises(FieldcoreError, match="nonnegative"):
+            Partition(m.space, atoms, f.atom_count)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_extend_profile_matches_oracle(self, seed):

@@ -198,9 +198,14 @@ class TestOracleAgreement:
             "arc-under-context",
         }
 
-    def test_oracle_cap(self, xor_model):
-        with pytest.raises(FieldcoreError):
-            precedes_oracle(xor_model, max_agents=3)
+    def test_oracle_cap(self):
+        # one nature label per agent: 2**13 configurations, past the 12-agent cap
+        agents = tuple(f"A{i}" for i in range(13))
+        space = ConfigSpace(agents, {a: FiniteSpace(f"omega[{a}]", ("*",)) for a in agents},
+                            {a: FiniteSpace.binary(f"u[{a}]") for a in agents})
+        info = {a: InformationField.from_mask(space, a, CoordinateMask()) for a in agents}
+        with pytest.raises(FieldcoreError, match="oracle capped at 12 agents"):
+            precedes_oracle(WModel(space, info))
 
 
 class TestForeignContext:

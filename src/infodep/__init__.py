@@ -84,7 +84,6 @@ from .probability import (
     reproduce_table1,
     restrict,
     verify_docalculus,
-    verify_rule1_tikka,
 )
 from .dsep import (
     DsepQuery,

@@ -7,6 +7,7 @@ verdict, 1 for a definite negative verdict, 2 for usage or parse errors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import time
@@ -46,7 +47,6 @@ from .probability import (
     pushforward,
     reproduce_table1,
     verify_docalculus,
-    verify_rule1_tikka,
 )
 from .dsep import DsepQuery, d_separated, equivalence_harness
 from .solvability import (
@@ -111,10 +111,14 @@ def _key(doc: dict, key: str, what: str):
 
 
 def _config_from_doc(space: ConfigSpace, doc: dict) -> Configuration:
+    """One configuration row; an integer label is read as its decimal text."""
     _typed(doc, dict, "configuration row")
-    omega = _typed(_key(doc, "omega", "configuration row"), dict, "configuration 'omega'")
-    u = _typed(_key(doc, "u", "configuration row"), dict, "configuration 'u'")
-    return Configuration(space, omega, u)
+    parts = []
+    for part in ("omega", "u"):
+        labels = _typed(_key(doc, part, "configuration row"), dict, f"configuration '{part}'")
+        parts.append({a: str(_typed(v, _LABEL, f"configuration '{part}' label"))
+                      for a, v in labels.items()})
+    return Configuration(space, *parts)
 
 
 def _config_to_doc(cfg: Configuration) -> dict:
@@ -712,12 +716,16 @@ def _docalc_report(rep, t0, out_path, fmt):
 @_add_options(_out_opts)
 def rule1(model_path, builtin_name, y, z, x, pin_decision,
           policy_trials, prior_trials, seed, out_path, fmt):
-    """Conditioning-removal rule under a pinned decision context."""
+    """`docalc` with w = x under pinned decisions; Y, Z, X and the pins disjoint."""
     m = _model(model_path, builtin_name)
+    pins = _parse_pins(pin_decision)
+    sets = {"Y": y, "Z": z, "X": x, "pinned": pins}
+    for (n1, s1), (n2, s2) in itertools.combinations(sets.items(), 2):
+        if set(s1) & set(s2):
+            raise FieldcoreError(f"{n1} and {n2} must be disjoint")
     t0 = time.perf_counter()
-    rep = verify_rule1_tikka(m, y, z, x, _parse_pins(pin_decision),
-                             policy_trials=policy_trials, prior_trials=prior_trials,
-                             seed=seed)
+    rep = verify_docalculus(m, y, z, x, ConfigSet.from_pins(m.space, decision=pins),
+                            policy_trials=policy_trials, prior_trials=prior_trials, seed=seed)
     _docalc_report(rep, t0, out_path, fmt)
 
 

@@ -132,7 +132,7 @@ def random_dag(n: int, edge_prob: float, seed=0) -> Dag:
         raise FieldcoreError("need at least one node")
     if not 0 <= edge_prob <= 1:
         raise FieldcoreError("edge probability must lie in [0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back unchanged
     nodes = tuple(f"V{i}" for i in range(n))
     edges = {
         (nodes[i], nodes[j])

@@ -224,9 +224,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
 
 def validate_model(m: WModel, require_local_noise: bool = False) -> ValidationReport:
     """Per-agent structural checks, report style (violations carry witnesses).

@@ -50,6 +50,7 @@ from .solvability import (
     PolicyProfile,
     SolutionMap,
     UnsolvableProfileError,
+    check_sample_entries,
     sample_profiles,
     solve,
 )
@@ -162,9 +163,6 @@ class ConditionalTable:
     given_coords: tuple
     rows: Mapping[tuple, Mapping[tuple, Fraction]]
     empty_context: bool = False
-
-    def value(self, given_key: tuple, target_key: tuple) -> Fraction:
-        return self.rows.get(given_key, {}).get(target_key, Fraction(0))
 
 
 def conditional(d: ExactDist, q: CondQuery) -> ConditionalTable:
@@ -362,6 +360,7 @@ def verify_docalculus(
     observed independence violations are tallied as corroboration.
     """
     y, z, w = frozenset(y), frozenset(z), frozenset(w)
+    check_sample_entries(prior_trials * m.space.n_omega, f"{prior_trials} sampled priors")
     rng = np.random.default_rng(seed)
     rel = precedes(m, w, ctx)
     cert = topologically_separated(m, y, z, w, ctx, relation=rel)
@@ -432,20 +431,10 @@ def verify_docalculus(
     )
 
 
-def _dropping_violation(dist, mask_y, mask_w, mask_w_clz, context):
-    """First exact mismatch between Q(y | w, clz, ctx) and Q(y | w, ctx), if any.
-
-    Tests J(y, w, clz) * T(w) == J(y, w) * T(w, clz) on integers.  Long given
-    keys (w, clz) are visited in first-occurrence order, and the targets of
-    one in the order of their mixed-radix code.  Returns (long given key,
-    target key, long conditional mass, short conditional mass).
-    """
-    index, weights = _inside(dist, context)
-    return _dropping_check(dist.space, _cells(dist.space, index, mask_w, mask_w_clz, mask_y),
-                           weights, mask_y, mask_w_clz)
-
-
 def _dropping_check(space, c: _Cells, weights, mask_y, mask_w_clz):
+    """First exact mismatch of Q(y | w, clz) against Q(y | w), if any, as (long given
+    key, target key, long mass, short mass): long keys (w, clz) in first-occurrence
+    order, and the targets of one in the order of their mixed-radix code."""
     # k is the short given key w, ka the long one (w, clz) and kb (w, y)
     ok, t_short, t_long, j_short, j_long = _balance(c, weights)
     # A target of the short row missing from a long row has long mass 0.
@@ -465,37 +454,6 @@ def _dropping_check(space, c: _Cells, weights, mask_y, mask_w_clz):
     return (g_key, t_key, p_long, p_short)
 
 
-def verify_rule1_tikka(
-    m: WModel,
-    y: Iterable[str],
-    z: Iterable[str],
-    x: Iterable[str],
-    pinned: Mapping[str, str],
-    policy_trials: int = 50,
-    prior_trials: int = 3,
-    seed=0,
-) -> DoCalculusReport:
-    """Single-rule reading of context-specific conditioning removal.
-
-    Pins the decisions of the context agents to the given labels, takes the
-    pinned set as the conditioning context and x as w, then defers to
-    `verify_docalculus`.
-    """
-    y, z, x = frozenset(y), frozenset(z), frozenset(x)
-    x_tilde = frozenset(pinned)
-    sets = {"Y": y, "Z": z, "X": x, "pinned": x_tilde}
-    names = list(sets)
-    for i, s1 in enumerate(names):
-        for s2 in names[i + 1:]:
-            if sets[s1] & sets[s2]:
-                raise FieldcoreError(f"{s1} and {s2} must be disjoint")
-    ctx = ConfigSet.from_pins(m.space, decision=dict(pinned))
-    return verify_docalculus(
-        m, y, z, x, ctx,
-        policy_trials=policy_trials, prior_trials=prior_trials, seed=seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # table reproduction
 # ---------------------------------------------------------------------------
@@ -505,8 +463,7 @@ def display_3dec(value: Fraction) -> str:
     if value < 0:
         raise FieldcoreError("probabilities are nonnegative")
     scaled = (value.numerator * 1000) // value.denominator
-    text = f"{scaled // 1000}.{scaled % 1000:03d}".rstrip("0").rstrip(".")
-    return text
+    return f"{scaled // 1000}.{scaled % 1000:03d}".rstrip("0").rstrip(".")
 
 
 PAPER_TABLE_1A: dict[tuple[str, str, str], tuple[str, str]] = {
@@ -557,11 +514,16 @@ class Table1Result:
         )
 
 
-def _x4_given(dist: ExactDist, space, given_agents, key) -> dict[str, Fraction]:
-    table = conditional(dist, CondQuery(
-        _decision_mask({"X4"}), _decision_mask(given_agents)
-    ))
-    return {t[0]: p for t, p in table.rows.get(key, {}).items()}
+def _table1_rows(dist: ExactDist, given_agents, expected) -> tuple[TableRow, ...]:
+    """One row per published key: the exact P(X4 = 1 | key, X3) at X3 = 0 and 1,
+    read off one conditional table of X4 given the agents (X3 the last)."""
+    table = conditional(dist, CondQuery(_decision_mask({"X4"}), _decision_mask(given_agents)))
+    rows = []
+    for key in sorted(expected):
+        exact = tuple(table.rows.get(key + (x3,), {}).get(("1",), Fraction(0))
+                      for x3 in ("0", "1"))
+        rows.append(TableRow(key, exact, tuple(map(display_3dec, exact)), expected[key]))
+    return tuple(rows)
 
 
 def reproduce_table1(m: WModel | None = None) -> Table1Result:
@@ -573,31 +535,8 @@ def reproduce_table1(m: WModel | None = None) -> Table1Result:
     """
     m = m if m is not None else builtin("witsenhausen-xor")
     dist = pushforward(m, m.canonical_profile)
-    rows_a = []
-    equal_a = True
-    for key in sorted(PAPER_TABLE_1A):
-        vals = []
-        for x3 in ("0", "1"):
-            row = _x4_given(dist, m.space, ("X0", "X1", "X2", "X3"), key + (x3,))
-            vals.append(row.get("1", Fraction(0)))
-        equal_a &= vals[0] == vals[1]
-        rows_a.append(TableRow(
-            key, (vals[0], vals[1]),
-            (display_3dec(vals[0]), display_3dec(vals[1])),
-            PAPER_TABLE_1A[key],
-        ))
-    rows_b = []
-    differs_01 = False
-    for key in sorted(PAPER_TABLE_1B):
-        vals = []
-        for x3 in ("0", "1"):
-            row = _x4_given(dist, m.space, ("X0", "X1", "X3"), key + (x3,))
-            vals.append(row.get("1", Fraction(0)))
-        if key == ("0", "1"):
-            differs_01 = vals[0] != vals[1]
-        rows_b.append(TableRow(
-            key, (vals[0], vals[1]),
-            (display_3dec(vals[0]), display_3dec(vals[1])),
-            PAPER_TABLE_1B[key],
-        ))
-    return Table1Result(tuple(rows_a), tuple(rows_b), equal_a, differs_01)
+    rows_a = _table1_rows(dist, ("X0", "X1", "X2", "X3"), PAPER_TABLE_1A)
+    rows_b = _table1_rows(dist, ("X0", "X1", "X3"), PAPER_TABLE_1B)
+    (row_01,) = (r for r in rows_b if r.key == ("0", "1"))
+    return Table1Result(rows_a, rows_b, all(r.exact[0] == r.exact[1] for r in rows_a),
+                        row_01.exact[0] != row_01.exact[1])

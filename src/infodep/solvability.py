@@ -36,9 +36,11 @@ from .precedence import SeparationCertificate, closure as topo_closure, precedes
 if TYPE_CHECKING:  # pragma: no cover
     from .model import WModel
 
-DEFAULT_POLICY_ENUM_CAP = 200_000
-DEFAULT_SOLVABILITY_BUDGET = 50_000
-DEFAULT_SOLVABILITY_SAMPLES = 200
+POLICY_ENUM_CAP = 200_000
+SOLVABILITY_BUDGET = 50_000
+SOLVABILITY_SAMPLES = 200
+# Policy-table entries or prior weights one sampling call may draw (int64: 128 MiB).
+SAMPLE_MAX_ENTRIES = 1 << 24
 # Cells the causal-ordering memo may hold, 3 bytes each: admits kuh
 # (128 * 3^7 = 279,936) and any 6-agent binary model (64 * 3^6 = 46,656).
 ORDERING_MEMO_CELLS = 1 << 20
@@ -90,10 +92,6 @@ class PolicyProfile:
     def __getitem__(self, agent: str) -> Policy:
         return self.policies[agent]
 
-    @staticmethod
-    def of(policies: Iterable[Policy]) -> "PolicyProfile":
-        return PolicyProfile({p.owner: p for p in policies})
-
 
 def _check_profile(m: "WModel", profile: PolicyProfile) -> None:
     if set(profile.policies) != set(m.agents):
@@ -115,14 +113,14 @@ def policy_count(m: "WModel", agent: str) -> int:
 class PolicyEnumeration:
     """All policies of one agent in canonical order (atom 0 varies fastest)."""
 
-    def __init__(self, m: "WModel", agent: str, cap: int = DEFAULT_POLICY_ENUM_CAP):
+    def __init__(self, m: "WModel", agent: str):
         self.agent = agent
         self._atoms = m.info[agent].partition.atom_count
         self._size = m.decisions[agent].size
         self._count = policy_count(m, agent)
-        if self._count > cap:
+        if self._count > POLICY_ENUM_CAP:
             raise FieldcoreError(
-                f"{self._count} policies for {agent!r} exceeds the cap {cap};"
+                f"{self._count} policies for {agent!r} exceeds the cap {POLICY_ENUM_CAP};"
                 " use sample_policies instead"
             )
         # below the cap, so every power of the decision count fits in int64
@@ -143,14 +141,19 @@ class PolicyEnumeration:
         return (ks // self._powers) % self._size
 
 
-def enumerate_policies(m: "WModel", agent: str,
-                       cap: int = DEFAULT_POLICY_ENUM_CAP) -> PolicyEnumeration:
-    return PolicyEnumeration(m, agent, cap)
+def enumerate_policies(m: "WModel", agent: str) -> PolicyEnumeration:
+    return PolicyEnumeration(m, agent)
+
+
+def check_sample_entries(entries: int, what: str) -> None:
+    """Refuse, before any draw, a sampling call past SAMPLE_MAX_ENTRIES."""
+    if entries > SAMPLE_MAX_ENTRIES:
+        raise FieldcoreError(f"{what} need {entries} entries, over the limit {SAMPLE_MAX_ENTRIES}")
 
 
 def sample_policies(m: "WModel", agent: str, n: int, seed=0) -> list[Policy]:
     """n independent uniform policies; deterministic under the seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back unchanged
     atoms = m.info[agent].partition.atom_count
     size = m.decisions[agent].size
     draws = rng.integers(0, size, size=(n, atoms), dtype=np.int64)
@@ -158,7 +161,9 @@ def sample_policies(m: "WModel", agent: str, n: int, seed=0) -> list[Policy]:
 
 
 def sample_profiles(m: "WModel", n: int, seed=0) -> list[PolicyProfile]:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    check_sample_entries(n * sum(m.info[a].partition.atom_count for a in m.agents),
+                         f"{n} sampled profiles")
+    rng = np.random.default_rng(seed)
     per_agent = {a: sample_policies(m, a, n, rng) for a in m.agents}
     return [PolicyProfile({a: per_agent[a][i] for a in m.agents}) for i in range(n)]
 
@@ -174,10 +179,6 @@ class SolutionMap:
     @property
     def solvable(self) -> bool:
         return bool(np.all(self.counts == 1))
-
-    @property
-    def n_omega(self) -> int:
-        return self.counts.shape[0]
 
     def solution(self, omega: Mapping[str, str]) -> Configuration:
         """The unique closed-loop configuration S(omega) at the nature labels omega."""
@@ -213,12 +214,7 @@ class SolvabilityVerdict:
     exhaustive: bool = False
 
 
-def is_model_solvable(
-    m: "WModel",
-    budget: int = DEFAULT_SOLVABILITY_BUDGET,
-    samples: int = DEFAULT_SOLVABILITY_SAMPLES,
-    seed=0,
-) -> SolvabilityVerdict:
+def is_model_solvable(m: "WModel") -> SolvabilityVerdict:
     """Quantify solvability over policy profiles.
 
     Exhaustive (a proof either way) when the profile count fits the budget;
@@ -227,10 +223,10 @@ def is_model_solvable(
     total = 1
     for a in m.agents:
         total *= policy_count(m, a)
-        if total > budget:
+        if total > SOLVABILITY_BUDGET:
             break
-    if total <= budget:
-        enums = [PolicyEnumeration(m, a, cap=budget) for a in m.agents]
+    if total <= SOLVABILITY_BUDGET:
+        enums = [PolicyEnumeration(m, a) for a in m.agents]
         tables = [e.tables() for e in enums]
         n_pols = np.asarray([len(e) for e in enums], dtype=np.int64)
         atom_counts = np.asarray([t.shape[1] for t in tables], dtype=np.int64)
@@ -248,10 +244,10 @@ def is_model_solvable(
             pols[e.agent] = e.policy_at(k)
         return SolvabilityVerdict("UNSOLVABLE", bad + 1, PolicyProfile(pols), exhaustive=True)
 
-    for i, profile in enumerate(sample_profiles(m, samples, seed)):
+    for i, profile in enumerate(sample_profiles(m, SOLVABILITY_SAMPLES, 0)):
         if not solve(m, profile).solvable:
             return SolvabilityVerdict("UNSOLVABLE", i + 1, profile)
-    return SolvabilityVerdict("UNKNOWN", samples)
+    return SolvabilityVerdict("UNKNOWN", SOLVABILITY_SAMPLES)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 from click.testing import CliRunner
@@ -53,6 +56,26 @@ class TestModelFiles:
         with pytest.raises(ModelFileError):
             model_from_doc(doc)
 
+    # obs_table rows (tikka-context), policy rows (xor) and negative labels (spirtes)
+    @pytest.mark.parametrize("name", ["tikka-context", "witsenhausen-xor", "spirtes-discrete"])
+    def test_integer_labels_load_as_decimal_text(self, name):
+        doc = model_to_doc(builtin(name))
+        int_doc = _int_labels(doc)
+        assert int_doc != doc
+        assert model_to_doc(model_from_doc(int_doc)) == doc
+
+
+def _int_labels(node, key=None):
+    """A model file with every label written as a JSON integer; the prob and
+    meta sections stay as they are."""
+    if key in ("prob", "meta"):
+        return node
+    if isinstance(node, dict):
+        return {k: _int_labels(v, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_int_labels(v) for v in node]
+    return int(node) if isinstance(node, str) and node.lstrip("-").isdigit() else node
+
 
 _DROP = object()
 
@@ -80,6 +103,9 @@ MALFORMED_MODEL_FILES = {
     "policy-row-int": ("witsenhausen-xor", _set(("policies", "X0", 0), 5)),
     "format-version-bool": ("witsenhausen-xor", _set(("format_version",), True)),
     "prob-bool": ("witsenhausen-xor", _set(("nature", "X0", "prob"), {"0": True, "1": False})),
+    "obs-row-label-bool": ("tikka-context", _set(("info", "b", "obs_table", 0, "u", "s"), True)),
+    "policy-row-label-bool": ("witsenhausen-xor",
+                              _set(("policies", "X0", 0, "omega", "X0"), False)),
 }
 
 
@@ -255,6 +281,17 @@ class TestQueryCommands:
         doc = json.loads(res.output)
         assert doc["predecessors"]["b"] == []
 
+    def test_context_file_with_integer_labels(self, runner, tmp_path):
+        m = builtin("tikka-context")
+        configs = map(m.space.config_at, range(m.space.n_configs))
+        rows = [_int_labels({"omega": cfg.nature_part, "u": cfg.decision_part})
+                for cfg in configs if cfg.decision_part["s"] == "0"]
+        path = tmp_path / "ctx.json"
+        path.write_text(json.dumps(rows))
+        res = invoke(runner, "precedence", "--builtin", "tikka-context",
+                     "--context-file", str(path))
+        assert json.loads(res.output)["predecessors"]["b"] == []
+
 
 XOR_Q = ("--builtin", "witsenhausen-xor", "--y", "X3", "--z", "X4")
 TIKKA_Q = ("--builtin", "tikka-context", "--y", "b", "--z", "a", "--pin-decision", "s=0")
@@ -285,6 +322,13 @@ USAGE_ERRORS = {
     "dsep-edge-without-head": ("dsep", "--edges", "A->", "--y", "A", "--z", "B"),
     "dsep-edge-with-blank-head": ("dsep", "--edges", "A-> ", "--y", "A", "--z", "B"),
     "dsep-edge-with-two-arrows": ("dsep", "--edges", "A->B->C", "--y", "A", "--z", "C"),
+    # X meets the pinned agents; the one-rule verifier alone would accept it
+    "rule1-overlapping-sets": ("rule1", *TIKKA_Q, "--x", "s"),
+    # far past the sampling limit: refused before anything is drawn
+    "solve-oversized-sample": ("solve", "--builtin", "witsenhausen-xor",
+                               "--sample", "1000000000000"),
+    "docalc-oversized-policy-trials": ("docalc", *XOR_Q, "--policy-trials", "1000000000000"),
+    "docalc-oversized-prior-trials": ("docalc", *XOR_Q, "--prior-trials", "1000000000000"),
 }
 
 
@@ -318,6 +362,32 @@ class TestExitCodeContract:
         out = json.loads(res.output)
         assert out["verdict"] == "SEPARATED" and out["failures"] == []
         assert out["checks_run"] > 0
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `infodep ...` line of the README's shell blocks, comments dropped."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("infodep ")]
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_runs(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) >= 15
+        codes = {}
+        for args in commands:
+            res = runner.invoke(main, args)
+            assert res.exit_code in (0, 1), (args, res.output)
+            assert res.exception is None or isinstance(res.exception, SystemExit), args
+            assert "Traceback" not in res.output, args
+            codes[" ".join(args)] = res.exit_code
+        # the README says: exits 1, none exists
+        assert codes["causality --builtin witsenhausen-xor"] == 1
 
 
 class TestSeededReproducibility:

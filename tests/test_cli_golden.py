@@ -85,6 +85,9 @@ CASES = {
                         *FEW_TRIALS),
     "rule1-not-separated": ("rule1", *TIKKA, "--y", "b", "--z", "a",
                             "--pin-decision", "s=1", *FEW_TRIALS),
+    # rule1-separated run as docalc: rule1 is docalc under pinned decisions
+    "docalc-pinned": ("docalc", *TIKKA, "--y", "b", "--z", "a", "--pin-decision", "s=0",
+                      *FEW_TRIALS),
     "intervene": ("intervene", "--builtin", "common-cause", "--target", "T",
                   "--switch-prob", "1/3", "--out", "{tmp}/out.json"),
     "intervene-bad-prob": ("intervene", "--builtin", "common-cause", "--target", "T",
@@ -165,6 +168,11 @@ def test_invocation_matches_golden(golden, tmp_path, case):
 
 def test_every_case_is_pinned(golden):
     assert sorted(golden["cases"]) == sorted(CASES)
+
+
+def test_rule1_is_docalc_under_pinned_decisions(golden):
+    assert golden["cases"]["docalc-pinned"]["stdout"] == \
+        golden["cases"]["rule1-separated"]["stdout"]
 
 
 def test_option_surface_matches_golden(golden):

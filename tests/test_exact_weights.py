@@ -173,6 +173,13 @@ def test_integer_path_matches_fraction_path():
                                  "dependent", "independent")) > 0, seen
 
 
+def dropping_check(d, mask_y, mask_w, mask_w_clz, ctx):
+    """The dropping test on the cells of the law's support inside ctx."""
+    index, weights = probability._inside(d, ctx)
+    cells = probability._cells(d.space, index, mask_w, mask_w_clz, mask_y)
+    return probability._dropping_check(d.space, cells, weights, mask_y, mask_w_clz)
+
+
 def test_dropping_witness_is_first_long_key_then_smallest_target_code():
     seen = Counter()
     for seed, rng, m, profile, prior, ctx in cases(60):
@@ -183,7 +190,7 @@ def test_dropping_witness_is_first_long_key_then_smallest_target_code():
         y, z, w = random_disjoint_sets(rng, m.agents)
         dec = probability._decision_mask
         masks = dec(y), dec(w), dec(w | z)
-        got = probability._dropping_violation(d, *masks, ctx)
+        got = dropping_check(d, *masks, ctx)
         want = expected_dropping(m.space, support, *masks, ctx)
         assert got == want
         seen["none" if want is None else "mismatch"] += 1
@@ -348,4 +355,4 @@ def test_dropping_is_decided_exactly():
     y, w, w_clz = (CoordinateMask(decision=s) for s in ({"a"}, set(), {"b"}))
     want = (("0",), ("0",), Fraction(1, 2), Fraction(2 * k + 1, 4 * k + 1))
     assert expected_dropping(d.space, d.support, y, w, w_clz, None) == want
-    assert probability._dropping_violation(d, y, w, w_clz, None) == want
+    assert dropping_check(d, y, w, w_clz, None) == want

@@ -64,7 +64,7 @@ class TestValidateModel:
         m = WModel(space, info)
         report = validate_model(m, require_local_noise=True)
         assert not report.ok
-        bad = report.failures()
+        bad = [c for c in report.checks if not c.passed]
         assert bad and bad[0].agent == "a" and bad[0].check == "local-noise"
         c1, c2 = bad[0].witness
         assert c1.nature_part["a"] == c2.nature_part["a"]

@@ -17,7 +17,6 @@ from infodep.probability import (
     reproduce_table1,
     restrict,
     verify_docalculus,
-    verify_rule1_tikka,
 )
 from infodep.solvability import (
     PolicyProfile,
@@ -110,7 +109,7 @@ class TestConditional:
     def test_xor_singleton_value(self, xor_model):
         dist = pushforward(xor_model, xor_model.canonical_profile)
         table = conditional(dist, CondQuery(u_mask({"X4"}), u_mask({"X0", "X1", "X2", "X3"})))
-        assert table.value(("0", "0", "0", "0"), ("1",)) == Fraction(1, 82)
+        assert table.rows[("0", "0", "0", "0")][("1",)] == Fraction(1, 82)
 
     def test_rows_sum_to_one(self, xor_model):
         dist = pushforward(xor_model, xor_model.canonical_profile)
@@ -280,25 +279,30 @@ class TestVerifyDoCalculus:
 
 
 class TestRule1:
+    """Rule 1 is the one-rule verifier under pinned decisions, with w = x."""
+
     def test_tikka_context_drop(self, tikka_model):
-        rep = verify_rule1_tikka(
-            tikka_model, {"b"}, {"a"}, (), {"s": "0"},
+        rep = verify_docalculus(
+            tikka_model, {"b"}, {"a"}, (),
+            ConfigSet.from_pins(tikka_model.space, decision={"s": "0"}),
             policy_trials=40, prior_trials=3, seed=2,
         )
         assert rep.separated and rep.ok
         assert rep.checks_run > 0
 
     def test_active_context_not_separated(self, tikka_model):
-        rep = verify_rule1_tikka(
-            tikka_model, {"b"}, {"a"}, (), {"s": "1"},
+        rep = verify_docalculus(
+            tikka_model, {"b"}, {"a"}, (),
+            ConfigSet.from_pins(tikka_model.space, decision={"s": "1"}),
             policy_trials=40, prior_trials=3, seed=2,
         )
         assert not rep.separated
         assert rep.ci_violations_observed > 0
 
     def test_no_pins_reduces_to_docalc(self, xor_model):
-        r1 = verify_rule1_tikka(
-            xor_model, {"X3"}, {"X4"}, {"X0", "X1", "X2"}, {},
+        r1 = verify_docalculus(
+            xor_model, {"X3"}, {"X4"}, {"X0", "X1", "X2"},
+            ConfigSet.from_pins(xor_model.space, decision={}),
             policy_trials=3, prior_trials=1, seed=5,
         )
         r2 = verify_docalculus(
@@ -311,11 +315,7 @@ class TestRule1:
 
     def test_bad_pin_label_rejected(self, tikka_model):
         with pytest.raises(FieldcoreError):
-            verify_rule1_tikka(tikka_model, {"b"}, {"a"}, (), {"s": "7"})
-
-    def test_overlapping_sets_rejected(self, tikka_model):
-        with pytest.raises(FieldcoreError):
-            verify_rule1_tikka(tikka_model, {"b"}, {"a"}, ("a",), {"s": "0"})
+            ConfigSet.from_pins(tikka_model.space, decision={"s": "7"})
 
 
 class TestLemmaBlocks:

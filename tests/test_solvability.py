@@ -367,9 +367,17 @@ class TestPolicyEnumeration:
         m2 = WModel(m.space, info, prior=m.prior)
         assert policy_count(m2, "a") == m.decisions["a"].size
 
-    def test_cap_exceeded(self, xor_model):
-        with pytest.raises(FieldcoreError):
-            enumerate_policies(xor_model, "X0", cap=10)
+    def test_cap_exceeded(self):
+        # a sees its own noise and four binary decisions: 2^(2 * 2^4) policies
+        agents = ("a", "b", "c", "d", "e")
+        space = ConfigSpace(agents, *binary_spaces(agents))
+        info = {x: InformationField.from_mask(space, x, CoordinateMask({x}, frozenset()))
+                for x in agents}
+        info["a"] = InformationField.from_mask(space, "a", CoordinateMask({"a"}, agents[1:]))
+        m = WModel(space, info)
+        assert policy_count(m, "a") == 2 ** 32 > solvability.POLICY_ENUM_CAP
+        with pytest.raises(FieldcoreError, match="exceeds the cap"):
+            enumerate_policies(m, "a")
 
 
 class TestSamplePolicies:
@@ -490,9 +498,12 @@ class TestIsModelSolvable:
         assert not solve(m, v.witness).solvable
 
     def test_xor_sampled_unknown(self, xor_model):
-        v = is_model_solvable(xor_model, budget=1000, samples=20, seed=3)
-        # random xor profiles are overwhelmingly unsolvable, so either verdict
-        # other than a (impossible) proof is acceptable; exhaustive must be off
+        # 65,536 policies for X0 and for X1: far over the budget, so the
+        # verdict is sampled.  Random xor profiles are overwhelmingly
+        # unsolvable, so either verdict other than a (impossible) proof is
+        # acceptable.
+        assert policy_count(xor_model, "X0") > solvability.SOLVABILITY_BUDGET
+        v = is_model_solvable(xor_model)
         assert not v.exhaustive
         assert v.kind in ("UNKNOWN", "UNSOLVABLE")
 
@@ -519,7 +530,8 @@ class TestIsModelSolvable:
         rng = np.random.default_rng(700 + seed)
         m, g = random_dag_model(rng, n=3, edge_prob=0.5)
         assert find_causal_ordering(m) is not None
-        v = is_model_solvable(m, budget=100_000)
+        # at most 4 * 16 * 256 = 16,384 binary profiles: within the budget
+        v = is_model_solvable(m)
         assert v.kind == "SOLVABLE_PROVED"
 
 
@@ -702,9 +714,9 @@ class TestVerifyFactorization:
             frozenset({"X0", "X2", "X3"}), frozenset({"X1", "X4"}),
         )
         hand_built = tabulated_profile(m, HAND_BUILT_XOR_RULES)
-        seed55 = PolicyProfile.of(
-            Policy(a, np.array(t)) for a, t in SEED55_BOTH_SPLITS_FAIL_TABLES.items()
-        )
+        seed55 = PolicyProfile({
+            a: Policy(a, np.array(t)) for a, t in SEED55_BOTH_SPLITS_FAIL_TABLES.items()
+        })
         # (profile, [(block, opposite W part, nature point pair)])
         cases = (
             (hand_built, [

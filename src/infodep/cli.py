@@ -7,7 +7,6 @@ verdict, 1 for a definite negative verdict, 2 for usage or parse errors.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 import time
@@ -674,17 +673,13 @@ def ci(model_path, builtin_name, a, b, given,
 @_add_options(_out_opts)
 def docalc(model_path, builtin_name, y, z, w, policy_trials, prior_trials, seed,
            pin_nature, pin_decision, context_file, out_path, fmt):
-    """Randomized exact verification of the one-rule do-calculus."""
+    """Randomized exact verification of the one-rule do-calculus; exit 0
+    iff separated and verified."""
     m = _model(model_path, builtin_name)
     ctx = _context_from_options(m, pin_nature, pin_decision, context_file)
     t0 = time.perf_counter()
     rep = verify_docalculus(m, y, z, w, ctx, policy_trials=policy_trials,
                             prior_trials=prior_trials, seed=seed)
-    _docalc_report(rep, t0, out_path, fmt)
-
-
-def _docalc_report(rep, t0, out_path, fmt):
-    """The report of `docalc` and `rule1`; exit 0 iff separated and verified."""
     _report("do-calculus", t0, {
         "query": {"y": sorted(rep.y), "z": sorted(rep.z), "w": sorted(rep.w)},
         "verdict": "SEPARATED" if rep.separated else "NOT SEPARATED",
@@ -701,32 +696,6 @@ def _docalc_report(rep, t0, out_path, fmt):
         "skipped_zero_mass_contexts": rep.skipped_zero_mass,
         "ci_violations_observed": rep.ci_violations_observed,
     }, out_path, fmt, ok=rep.separated and rep.ok)
-
-
-@main.command()
-@_add_options(_model_opts)
-@click.option("--y", type=_AGENTS, required=True)
-@click.option("--z", type=_AGENTS, required=True)
-@click.option("--x", type=_AGENTS, default="")
-@click.option("--pin-decision", multiple=True, metavar="AGENT=LABEL", required=True,
-              help="Pinned context coordinates (the tilde set).")
-@click.option("--policy-trials", type=_COUNT, default=50)
-@click.option("--prior-trials", type=_COUNT, default=3)
-@click.option("--seed", type=_COUNT, default=0)
-@_add_options(_out_opts)
-def rule1(model_path, builtin_name, y, z, x, pin_decision,
-          policy_trials, prior_trials, seed, out_path, fmt):
-    """`docalc` with w = x under pinned decisions; Y, Z, X and the pins disjoint."""
-    m = _model(model_path, builtin_name)
-    pins = _parse_pins(pin_decision)
-    sets = {"Y": y, "Z": z, "X": x, "pinned": pins}
-    for (n1, s1), (n2, s2) in itertools.combinations(sets.items(), 2):
-        if set(s1) & set(s2):
-            raise FieldcoreError(f"{n1} and {n2} must be disjoint")
-    t0 = time.perf_counter()
-    rep = verify_docalculus(m, y, z, x, ConfigSet.from_pins(m.space, decision=pins),
-                            policy_trials=policy_trials, prior_trials=prior_trials, seed=seed)
-    _docalc_report(rep, t0, out_path, fmt)
 
 
 @main.command(name="intervene")

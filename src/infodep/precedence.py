@@ -13,7 +13,9 @@ The closure of B, the least fixpoint of S -> S u P(S), is the foreset of B
 under the reflexive-transitive closure R*, which one Warshall pass builds
 once per relation.  A separation query needs no search over the 2^|W|
 splittings of W: one absorption pass sends to Y's side exactly the members
-of W that every separating splitting puts there.
+of W that every separating splitting puts there.  A context conditions on
+the decisions it fixes, so separation and the factorization check both
+read those agents as members of W (`_conditioned`).
 """
 
 from __future__ import annotations
@@ -140,6 +142,25 @@ def _context(m: "WModel", ctx: ConfigSet | None) -> ConfigSet:
     return ctx
 
 
+def _conditioned(m: "WModel", y: frozenset[str], z: frozenset[str], w: frozenset[str],
+                 ctx: ConfigSet | None) -> frozenset[str]:
+    """W and every agent outside Y u Z whose decision takes one value on all
+    of ctx, out of at least two: conditioning on a context conditions on the
+    decisions it fixes.  Each such row of `precedes` is already empty, so
+    the relation is the same; what changes is that the splitting must place
+    the agent, so a fixed common descendant of Y and Z joins a closure.
+    """
+    if ctx is None:
+        return w
+    member = _context(m, ctx).member_mask.reshape(m.space.axis_sizes, order="F")
+    axes = range(member.ndim)
+    return w.union(
+        a for i, a in enumerate(m.agents, 1)
+        if a not in y | z and member.shape[i] > 1
+        and np.count_nonzero(member.any(axis=tuple(k for k in axes if k != i))) == 1
+    )
+
+
 def precedes(m: "WModel", w: Iterable[str] = (), ctx: ConfigSet | None = None) -> PrecedenceRelation:
     """Precedence conditioned on (w, ctx), one axis reduction per entry.
 
@@ -238,13 +259,16 @@ def topologically_separated(
     whenever any does, and its w_y is a subset of every separating w_y: it
     is the first success of the splittings in increasing binary order over
     w sorted by the canonical agent order (bit k sends the k-th element to
-    the y side).  Returns None when its closures meet.
+    the y side).  Returns None when its closures meet.  W is first extended
+    by the decisions that ctx fixes (`_conditioned`), so the splitting may
+    list them.
     """
     y = _as_agent_set(m, y, "Y")
     z = _as_agent_set(m, z, "Z")
     w = _as_agent_set(m, w, "W")
     if (y & z) or (y & w) or (z & w):
         raise FieldcoreError("Y, Z, W must be pairwise disjoint")
+    w = _conditioned(m, y, z, w, ctx)
     rel = relation if relation is not None else precedes(m, w, ctx)
     # The closure of B is its foreset under R*, so one Warshall pass serves
     # every foreset below.

@@ -526,14 +526,14 @@ def _table1_rows(dist: ExactDist, given_agents, expected) -> tuple[TableRow, ...
     return tuple(rows)
 
 
-def reproduce_table1(m: WModel | None = None) -> Table1Result:
+def reproduce_table1() -> Table1Result:
     """Recompute both conditional tables of the cyclic xor example.
 
     Passes when every entry, truncated to three decimals, matches the
     published value; the two columns of the first table must also agree as
     exact rationals, while the (0,1) row of the second must not.
     """
-    m = m if m is not None else builtin("witsenhausen-xor")
+    m = builtin("witsenhausen-xor")
     dist = pushforward(m, m.canonical_profile)
     rows_a = _table1_rows(dist, ("X0", "X1", "X2", "X3"), PAPER_TABLE_1A)
     rows_b = _table1_rows(dist, ("X0", "X1", "X3"), PAPER_TABLE_1B)

@@ -31,7 +31,7 @@ from .fieldcore import (
     FieldcoreError,
     first_occurrence,
 )
-from .precedence import SeparationCertificate, closure as topo_closure, precedes
+from .precedence import SeparationCertificate, _conditioned, closure as topo_closure, precedes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import WModel
@@ -74,9 +74,6 @@ class Policy:
             and self.owner == other.owner
             and np.array_equal(self.table, other.table)
         )
-
-    def __hash__(self):
-        return hash((self.owner, self.table.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -455,9 +452,11 @@ def verify_factorization(
     with u_W fixed, each agent's equation involves its own block only, so
     every combination of block solutions is the solution.  For models with
     a residual, or under a context that is not the full space, no proof is
-    given here; the form rests on these exact checks.
+    given here; the form rests on these exact checks.  W here includes the
+    decisions ctx fixes, as in `topologically_separated`.
     """
-    y, z, w = frozenset(y), frozenset(z), frozenset(w)
+    y, z = frozenset(y), frozenset(z)
+    w = _conditioned(m, y, z, frozenset(w), ctx)
     if cert.splitting.w_y | cert.splitting.w_z != w:
         raise InvalidCertificateError("splitting does not partition W")
     rel = precedes(m, w, ctx)

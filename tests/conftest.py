@@ -172,3 +172,16 @@ def random_disjoint_sets(rng, agents, want_w=True):
     else:
         w = frozenset()
     return y, z, w
+
+
+def fixed_decisions(m, y, z, ctx):
+    """Reference for the decisions a context fixes: the agents outside Y u Z
+    whose decision column has one distinct value over ctx's members, out of
+    at least two.  None stands for the full space, which fixes none."""
+    if ctx is None:
+        return frozenset()
+    return frozenset(
+        a for a in m.agents
+        if a not in set(y) | set(z) and m.space.decisions[a].size > 1
+        and np.unique(m.space.coord_values(("u", a))[ctx.indices]).size == 1
+    )

@@ -72,9 +72,9 @@ def report(n, text, elapsed, budget):
     assert elapsed < budget
 
 
-def test_criterion_1_table1_reproduction(xor_model):
+def test_criterion_1_table1_reproduction():
     with Stopwatch() as sw:
-        res = reproduce_table1(xor_model)
+        res = reproduce_table1()
     assert all(r.matches for r in res.rows_a), [
         (r.key, r.shown, r.expected) for r in res.rows_a if not r.matches
     ]

@@ -235,9 +235,12 @@ class TestQueryCommands:
         assert doc["verdict"] == "SEPARATED" and doc["failures"] == []
 
     def test_rule1(self, runner):
-        res = invoke(runner, "rule1", "--builtin", "tikka-context",
-                     "--y", "b", "--z", "a", "--pin-decision", "s=0",
-                     "--policy-trials", "20", "--prior-trials", "2")
+        # a context's fixed decisions are conditioned on, so rule 1 is docalc
+        # under pinned decisions and has no command of its own
+        query = ("--builtin", "tikka-context", "--y", "b", "--z", "a", "--pin-decision", "s=0")
+        res = runner.invoke(main, ["rule1", *query])
+        assert res.exit_code == 2 and "No such command 'rule1'" in res.stderr
+        res = invoke(runner, "docalc", *query, "--policy-trials", "20", "--prior-trials", "2")
         assert res.exit_code == 0
 
     def test_causality_exit_codes(self, runner):
@@ -294,7 +297,6 @@ class TestQueryCommands:
 
 
 XOR_Q = ("--builtin", "witsenhausen-xor", "--y", "X3", "--z", "X4")
-TIKKA_Q = ("--builtin", "tikka-context", "--y", "b", "--z", "a", "--pin-decision", "s=0")
 
 # "{missing}" is a path inside a directory that does not exist
 USAGE_ERRORS = {
@@ -304,8 +306,6 @@ USAGE_ERRORS = {
     "docalc-negative-policy-trials": ("docalc", *XOR_Q, "--policy-trials", "-1"),
     "docalc-negative-prior-trials": ("docalc", *XOR_Q, "--prior-trials", "-1"),
     "docalc-negative-seed": ("docalc", *XOR_Q, "--seed", "-5"),
-    "rule1-negative-policy-trials": ("rule1", *TIKKA_Q, "--policy-trials", "-1"),
-    "rule1-negative-seed": ("rule1", *TIKKA_Q, "--seed", "-1"),
     "reproduce-negative-seed": ("reproduce", "fig2", "--seed", "-1"),
     "precedence-pinned-twice": ("precedence", "--builtin", "tikka-context",
                                 "--pin-decision", "s=0", "--pin-decision", "s=1"),
@@ -322,8 +322,6 @@ USAGE_ERRORS = {
     "dsep-edge-without-head": ("dsep", "--edges", "A->", "--y", "A", "--z", "B"),
     "dsep-edge-with-blank-head": ("dsep", "--edges", "A-> ", "--y", "A", "--z", "B"),
     "dsep-edge-with-two-arrows": ("dsep", "--edges", "A->B->C", "--y", "A", "--z", "C"),
-    # X meets the pinned agents; the one-rule verifier alone would accept it
-    "rule1-overlapping-sets": ("rule1", *TIKKA_Q, "--x", "s"),
     # far past the sampling limit: refused before anything is drawn
     "solve-oversized-sample": ("solve", "--builtin", "witsenhausen-xor",
                                "--sample", "1000000000000"),

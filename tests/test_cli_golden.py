@@ -40,6 +40,10 @@ CASES = {
                            "--y", "X1", "--z", "X2", "--w", "Y1,Y2"),
     "separate-not-separated": ("separate", *XOR, "--y", "X3", "--z", "X4", "--w", "X0,X1"),
     "separate-pinned": ("separate", *TIKKA, "--y", "b", "--z", "a", "--pin-decision", "s=0"),
+    # X1 is a pinned descendant of the collider Y1: conditioning on it opens
+    # the path X3 -> Y1 <- W
+    "separate-pinned-collider": ("separate", "--builtin", "kuh", "--y", "X3", "--z", "W",
+                                 "--pin-decision", "X1=0"),
     "separate-overlap": ("separate", *XOR, "--y", "X3", "--z", "X3"),
     "separate-tsv": ("separate", "--builtin", "jpcbh", "--y", "X1", "--z", "X2", "--w", "Y1,Y2",
                      "--format", "tsv"),
@@ -81,13 +85,13 @@ CASES = {
                              *FEW_TRIALS),
     "docalc-flagship": ("docalc", *XOR, "--y", "X3", "--z", "X4", "--w", "X0,X1,X2",
                         "--policy-trials", "10", "--prior-trials", "40"),
-    "rule1-separated": ("rule1", *TIKKA, "--y", "b", "--z", "a", "--pin-decision", "s=0",
-                        *FEW_TRIALS),
-    "rule1-not-separated": ("rule1", *TIKKA, "--y", "b", "--z", "a",
-                            "--pin-decision", "s=1", *FEW_TRIALS),
-    # rule1-separated run as docalc: rule1 is docalc under pinned decisions
     "docalc-pinned": ("docalc", *TIKKA, "--y", "b", "--z", "a", "--pin-decision", "s=0",
                       *FEW_TRIALS),
+    "docalc-pinned-not-separated": ("docalc", *TIKKA, "--y", "b", "--z", "a",
+                                    "--pin-decision", "s=1", *FEW_TRIALS),
+    "docalc-pinned-collider": ("docalc", "--builtin", "kuh", "--y", "X3", "--z", "W",
+                               "--pin-decision", "X1=0", "--policy-trials", "10",
+                               "--prior-trials", "2"),
     "intervene": ("intervene", "--builtin", "common-cause", "--target", "T",
                   "--switch-prob", "1/3", "--out", "{tmp}/out.json"),
     "intervene-bad-prob": ("intervene", "--builtin", "common-cause", "--target", "T",
@@ -168,11 +172,6 @@ def test_invocation_matches_golden(golden, tmp_path, case):
 
 def test_every_case_is_pinned(golden):
     assert sorted(golden["cases"]) == sorted(CASES)
-
-
-def test_rule1_is_docalc_under_pinned_decisions(golden):
-    assert golden["cases"]["docalc-pinned"]["stdout"] == \
-        golden["cases"]["rule1-separated"]["stdout"]
 
 
 def test_option_surface_matches_golden(golden):

@@ -8,8 +8,10 @@ from infodep.fieldcore import (
     FieldcoreError,
     FiniteSpace,
     SpaceMismatchError,
+    partition_from_codes,
 )
-from infodep.model import InformationField, WModel, builtin
+from infodep.dsep import DsepQuery, d_separated, random_dag
+from infodep.model import Dag, InformationField, WModel, builtin, dag_to_idm
 from infodep.precedence import (
     PrecedenceRelation,
     SeparationCertificate,
@@ -20,9 +22,11 @@ from infodep.precedence import (
     precedes_oracle,
     topologically_separated,
 )
+from infodep.probability import verify_docalculus
 
 from conftest import (
     context_model,
+    fixed_decisions,
     random_context,
     random_disjoint_sets,
     random_dag_model,
@@ -33,11 +37,13 @@ from conftest import (
 def separated_oracle(m, y, z, w=(), ctx=None, relation=None):
     """Reference for `topologically_separated`: the literal 2^|W| search.
 
-    Splittings are visited in increasing binary order over w sorted by the
-    canonical agent order (bit k set sends the k-th element to the y side);
-    the first with disjoint closures wins.  None when every splitting fails.
+    W first gains the decisions ctx fixes (`fixed_decisions`).  Splittings
+    are visited in increasing binary order over w sorted by the canonical
+    agent order (bit k set sends the k-th element to the y side); the first
+    with disjoint closures wins.  None when every splitting fails.
     """
-    y, z, w = frozenset(y), frozenset(z), frozenset(w)
+    y, z = frozenset(y), frozenset(z)
+    w = frozenset(w) | fixed_decisions(m, y, z, ctx)
     rel = relation if relation is not None else precedes(m, w, ctx)
     rstar = rel.reflexive_transitive_closure
     w_sorted = [a for a in m.agents if a in w]
@@ -110,6 +116,28 @@ def model_features(m):
         if f.mask.nature - {a}:
             out.add("non-local-noise")
     return out
+
+
+def gated_dag_model(rng, n):
+    """A random DAG model in which each node with two or more parents, with
+    probability 0.7, sees a gated parent p only where a switch parent s
+    plays 1 (tikka-context's shape).  Returns the DAG, the model, the gated
+    edges and the switches."""
+    g = random_dag(n, 0.5, rng)
+    m = dag_to_idm(g)
+    space, info, gated, switches = m.space, dict(m.info), set(), set()
+    for v in g.nodes:
+        parents = g.parents(v)
+        if len(parents) < 2 or rng.random() >= 0.7:
+            continue
+        s, p = (str(a) for a in rng.choice(parents, 2, replace=False))
+        seen, _ = space.mask_codes(CoordinateMask({v}, set(parents) - {p}))
+        u_s, u_p = space.coord_values(("u", s)), space.coord_values(("u", p))
+        codes = seen * 3 + np.where(u_s == 1, u_p, 2)
+        info[v] = InformationField(v, partition_from_codes(space, codes))
+        gated.add((p, v))
+        switches.add(s)
+    return g, WModel(space, info), gated, switches
 
 
 class TestPrecedes:
@@ -397,6 +425,45 @@ class TestSeparation:
         assert separated > 0
 
 
+class TestGatedDags:
+    """With every switch pinned to 0, separation on the gated model is
+    d-separation given W and the switches on the DAG without the gated
+    edges: the labelled-DAG reading of context-specific independence."""
+
+    def test_matches_d_separation_on_the_reduced_dag(self):
+        rng = np.random.default_rng(26)
+        separated, refuted = [], []
+        for _ in range(40):
+            g, m, gated, switches = gated_dag_model(rng, int(rng.integers(5, 7)))
+            ctx = ConfigSet.from_pins(m.space, decision={s: "0" for s in switches})
+            reduced = Dag(g.nodes, g.edges - gated)
+            base = precedes(m, ctx=ctx)
+            others = [v for v in g.nodes if v not in switches]
+            for i, y in enumerate(others):
+                for z in others[i + 1:]:
+                    rest = [v for v in others if v not in (y, z)]
+                    for bits in range(1 << len(rest)):
+                        w = frozenset(v for k, v in enumerate(rest) if bits >> k & 1)
+                        rel = base.diagonal_restrict(set(g.nodes) - w)
+                        cert = topologically_separated(m, {y}, {z}, w, ctx, relation=rel)
+                        want = d_separated(reduced, DsepQuery({y}, {z}, w | switches))
+                        assert (cert is not None) == want, (g, gated, switches, y, z, w)
+                        query = (m, {y}, {z}, w, ctx)
+                        if want:
+                            separated.append(query)
+                        elif topologically_separated(m, {y}, {z}, w, relation=rel):
+                            # separated when the pinned switches are not conditioned on
+                            refuted.append(query)
+        assert len(separated) > 1000 and refuted
+        for k in rng.choice(len(separated), 5, replace=False):
+            rep = verify_docalculus(*separated[k], policy_trials=10, prior_trials=2,
+                                    seed=int(k))
+            assert rep.separated and rep.checks_run > 0 and rep.failures == ()
+        reps = [verify_docalculus(*q, policy_trials=10, prior_trials=2) for q in refuted[:3]]
+        assert all(not rep.separated for rep in reps)
+        assert sum(rep.ci_violations_observed for rep in reps) > 0
+
+
 class TestSeparationOracle:
     """The absorption pass returns the splitting search's first certificate."""
 
@@ -424,6 +491,7 @@ class TestSeparationOracle:
     def test_random_models_all_context_kinds(self):
         rng = np.random.default_rng(6160)
         ctx_kinds, kinds = set(), set()
+        folded_away = 0
         for i in range(300):
             if i % 2:
                 m = random_mask_model(rng, n_agents=int(rng.integers(3, 7)),
@@ -435,10 +503,32 @@ class TestSeparationOracle:
             ctx = random_context(rng, m.space)
             cert = topologically_separated(m, y, z, w, ctx)
             assert cert == separated_oracle(m, y, z, w, ctx)
+            # with no context, the relation under ctx is read without the
+            # fold: conditioning on fixed decisions only removes separation
+            unfolded = separated_oracle(m, y, z, w, relation=precedes(m, w, ctx))
+            assert cert is None or unfolded is not None
+            folded_away += cert is None and unfolded is not None
             ctx_kinds.add(context_kind(ctx))
             kinds.add(certificate_kind(cert))
         assert ctx_kinds == {"full", "pinned", "random"}
         assert kinds == {"not-separated", "one-sided", "split"}
+        assert folded_away > 0
+
+    def test_richer_models_all_context_kinds(self):
+        # 1-, 2- and 3-valued coordinates and observation tables: a decision
+        # with one value is fixed by every context, and is not conditioned on
+        rng = np.random.default_rng(4343)
+        ctx_kinds, folded = set(), 0
+        for _ in range(300):
+            m = context_model(rng, self_observing=bool(rng.integers(2)))
+            y, z, w = random_disjoint_sets(rng, m.agents)
+            ctx = random_context(rng, m.space)
+            cert = topologically_separated(m, y, z, w, ctx)
+            assert cert == separated_oracle(m, y, z, w, ctx)
+            ctx_kinds.add(context_kind(ctx))
+            folded += bool(fixed_decisions(m, y, z, ctx) - w)
+        assert ctx_kinds == {"full", "pinned", "random"}
+        assert folded > 0
 
     def test_thirty_member_w(self):
         # 2^30 splittings: out of reach for the search, one pass for absorption.

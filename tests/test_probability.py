@@ -187,11 +187,11 @@ class TestForeignContext:
 
 
 class TestTable1:
-    def test_reproduction_passes(self, xor_model):
-        res = reproduce_table1(xor_model)
+    def test_reproduction_passes(self):
+        res = reproduce_table1()
         assert res.passed
 
-    def test_exact_rationals_match_oracle(self, xor_model):
+    def test_exact_rationals_match_oracle(self):
         joint = xor_oracle_joint()
 
         def oracle_cond(fixed):
@@ -203,7 +203,7 @@ class TestTable1:
                         num += mass
             return num / den
 
-        res = reproduce_table1(xor_model)
+        res = reproduce_table1()
         for row in res.rows_a:
             x0, x1, x2 = (int(v) for v in row.key)
             assert row.exact[0] == oracle_cond({0: x0, 1: x1, 2: x2, 3: 0})
@@ -213,8 +213,8 @@ class TestTable1:
             assert row.exact[0] == oracle_cond({0: x0, 1: x1, 3: 0})
             assert row.exact[1] == oracle_cond({0: x0, 1: x1, 3: 1})
 
-    def test_columns_exactly_equal_in_table_a(self, xor_model):
-        assert reproduce_table1(xor_model).columns_a_exactly_equal
+    def test_columns_exactly_equal_in_table_a(self):
+        assert reproduce_table1().columns_a_exactly_equal
 
     def test_display_rule(self):
         assert display_3dec(Fraction(1, 2)) == "0.5"

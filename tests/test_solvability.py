@@ -46,6 +46,7 @@ from infodep.probability import cond_independent, pushforward
 from conftest import (
     binary_spaces,
     context_model,
+    fixed_decisions,
     mutual_observation_model,
     random_context,
     random_dag_model,
@@ -167,8 +168,10 @@ def check_causal_ordering_oracle(m, phi):
 
 def verify_factorization_oracle(m, profile, ctx, cert, y, z, w):
     """Reference for `verify_factorization`: keys and values as matrix rows,
-    factorized with np.unique(axis=0), and an inline constancy test."""
-    y, z, w = frozenset(y), frozenset(z), frozenset(w)
+    factorized with np.unique(axis=0), and an inline constancy test.  W
+    includes the decisions ctx fixes (`fixed_decisions`)."""
+    y, z = frozenset(y), frozenset(z)
+    w = frozenset(w) | fixed_decisions(m, y, z, ctx)
     if cert.splitting.w_y | cert.splitting.w_z != w:
         raise InvalidCertificateError("splitting does not partition W")
     rel = precedes(m, w, ctx)
@@ -833,6 +836,9 @@ class TestVerifyFactorization:
             cert = topologically_separated(m, y, z, w, ctx)
             if cert is None:
                 continue
+            # with no context, the relation under ctx is read without the
+            # fold: conditioning on fixed decisions only removes separation
+            assert topologically_separated(m, y, z, w, relation=precedes(m, w, ctx))
             profiles = [p for p in sample_profiles(m, 8, rng) if solve(m, p).solvable]
             for profile in profiles[:3]:
                 got = verify_factorization(m, profile, ctx, cert, y, z, w)

@@ -719,13 +719,12 @@ def intervene_cmd(model_path, builtin_name, target, switch_prob, switch_agent, o
 
 @main.command()
 @_add_options(_model_opts)
-@click.option("--max-agents", type=_COUNT, default=5)
 @_add_options(_out_opts)
-def causality(model_path, builtin_name, max_agents, out_path, fmt):
+def causality(model_path, builtin_name, out_path, fmt):
     """Search for a causal configuration-ordering; exit 0 found, 1 none."""
     m = _model(model_path, builtin_name)
     t0 = time.perf_counter()
-    phi = find_causal_ordering(m, max_agents=max_agents)
+    phi = find_causal_ordering(m)
     doc = {"verdict": "causal ordering found" if phi is not None
            else "no causal ordering found (exhaustive)"}
     if phi is not None:

@@ -9,8 +9,10 @@ another (`field_subset_witness`), so no trace field is ever built.
 
 Configurations are enumerated in a fixed mixed-radix order: nature
 coordinates in agent order, then decision coordinates in agent order, the
-first coordinate varying fastest.  Indices never leak through public,
-serialized interfaces; coordinate tuples do.
+first coordinate varying fastest.  A coordinate's value is computed from
+the index, (index // stride) % size, at the indices asked for; no
+per-configuration array of coordinates is cached.  Indices never leak
+through public, serialized interfaces; coordinate tuples do.
 """
 
 from __future__ import annotations
@@ -77,7 +79,12 @@ class CoordinateMask:
 
 @dataclass(frozen=True)
 class ConfigSpace:
-    """Product of per-agent nature and decision sets, with a size guard."""
+    """Product of per-agent nature and decision sets, with a size guard.
+
+    `_radix` is the one table of the mixed-radix layout: each coordinate's
+    value space and stride.  Coordinate values are computed from the index
+    on demand; nothing per configuration is cached.
+    """
 
     agents: tuple[str, ...]
     nature: Mapping[str, FiniteSpace]
@@ -91,39 +98,28 @@ class ConfigSpace:
             raise FieldcoreError("agent list must be nonempty")
         if len(set(self.agents)) != len(self.agents):
             raise FieldcoreError("duplicate agent ids")
-        for m, kind in ((self.nature, "nature"), (self.decisions, "decision")):
+        radix, stride = {}, 1
+        for m, kind, key in ((self.nature, "nature", "n"), (self.decisions, "decision", "u")):
             if set(m) != set(self.agents):
                 raise FieldcoreError(f"{kind} coordinate keys must equal the agent set")
-        total = 1
-        for a in self.agents:
-            total *= self.nature[a].size * self.decisions[a].size
-            if total > MAX_CONFIGS:
-                raise FieldcoreError(
-                    f"configuration space exceeds the cap of {MAX_CONFIGS} points"
-                )
-        object.__setattr__(self, "_n_configs", total)
+            for a in self.agents:
+                radix[(key, a)] = (m[a], stride)
+                stride *= m[a].size
+                if stride > MAX_CONFIGS:
+                    raise FieldcoreError(
+                        f"configuration space exceeds the cap of {MAX_CONFIGS} points"
+                    )
+        object.__setattr__(self, "_radix", radix)
+        object.__setattr__(self, "_n_configs", stride)
 
     # Coordinates are addressed as ("n", agent) / ("u", agent).
 
-    @cached_property
-    def coords(self) -> tuple[tuple[str, str], ...]:
-        return tuple(("n", a) for a in self.agents) + tuple(("u", a) for a in self.agents)
-
     def coord_space(self, coord: tuple[str, str]) -> FiniteSpace:
-        kind, agent = coord
-        return self.nature[agent] if kind == "n" else self.decisions[agent]
+        return self._radix[coord][0]
 
-    @cached_property
+    @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(self.coord_space(c).size for c in self.coords)
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        out, s = [], 1
-        for size in self.sizes:
-            out.append(s)
-            s *= size
-        return tuple(out)
+        return tuple(sp.size for sp, _ in self._radix.values())
 
     @property
     def n_configs(self) -> int:
@@ -131,12 +127,10 @@ class ConfigSpace:
 
     @property
     def n_omega(self) -> int:
-        n = 1
-        for a in self.agents:
-            n *= self.nature[a].size
-        return n
+        """The nature block's size: the stride of the first decision digit."""
+        return self._radix[("u", self.agents[0])][1]
 
-    @cached_property
+    @property
     def axis_sizes(self) -> tuple[int, ...]:
         """(n_omega, |U_0|, ..., |U_{n-1}|).  A configuration index is omega +
         n_omega * u, agent 0 the fastest digit of u, so a per-configuration array
@@ -144,19 +138,17 @@ class ConfigSpace:
         decision on axis 1 + i."""
         return (self.n_omega,) + tuple(self.decisions[a].size for a in self.agents)
 
-    @cached_property
-    def _coord_value_arrays(self) -> dict[tuple[str, str], np.ndarray]:
-        idx = np.arange(self.n_configs, dtype=np.int64)
-        out = {}
-        for coord, size, stride in zip(self.coords, self.sizes, self.strides):
-            arr = (idx // stride) % size
-            arr.flags.writeable = False
-            out[coord] = arr
-        return out
+    def _index(self, index: np.ndarray | Sequence[int] | None) -> np.ndarray:
+        if index is None:
+            return np.arange(self.n_configs, dtype=np.int64)
+        return np.asarray(index, dtype=np.int64)
 
-    def coord_values(self, coord: tuple[str, str]) -> np.ndarray:
-        """Value index of one coordinate for every configuration index."""
-        return self._coord_value_arrays[coord]
+    def coord_values(self, coord: tuple[str, str],
+                     index: np.ndarray | Sequence[int] | None = None) -> np.ndarray:
+        """Value index of one coordinate at every configuration index, or only
+        at those in `index` (an array or a list of configuration indices)."""
+        sp, stride = self._radix[coord]
+        return self._index(index) // stride % sp.size
 
     def validate_mask(self, mask: CoordinateMask) -> None:
         unknown = (mask.nature | mask.decision) - set(self.agents)
@@ -166,67 +158,52 @@ class ConfigSpace:
     def mask_coords(self, mask: CoordinateMask) -> tuple[tuple[str, str], ...]:
         self.validate_mask(mask)
         return tuple(
-            c for c in self.coords
+            c for c in self._radix
             if (c[0] == "n" and c[1] in mask.nature) or (c[0] == "u" and c[1] in mask.decision)
         )
 
     def mask_codes(self, mask: CoordinateMask,
-                   index: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                   index: np.ndarray | Sequence[int] | None = None) -> tuple[np.ndarray, int]:
         """Mixed-radix code of the masked coordinates, per configuration, and
         the codes' range; with `index`, only at those configurations.
 
         Codes are dense in [0, prod(masked sizes)) and their numeric order
         equals the first-occurrence order under the canonical enumeration.
         """
-        coords = self.mask_coords(mask)
-        codes = np.zeros(self.n_configs if index is None else len(index), dtype=np.int64)
-        stride = 1
-        for c in coords:
-            values = self.coord_values(c)
-            codes += (values if index is None else values[index]) * stride
-            stride *= self.coord_space(c).size
-        return codes, stride
+        index = self._index(index)
+        codes = np.zeros(index.shape, dtype=np.int64)
+        n_codes = 1
+        for c in self.mask_coords(mask):
+            codes += self.coord_values(c, index) * n_codes
+            n_codes *= self.coord_space(c).size
+        return codes, n_codes
 
     def index_of(self, cfg: "Configuration") -> int:
         if cfg.space is not self and cfg.space != self:
             raise SpaceMismatchError("configuration belongs to a different space")
-        idx = 0
-        for coord, stride in zip(self.coords, self.strides):
-            kind, agent = coord
-            label = cfg.nature_part[agent] if kind == "n" else cfg.decision_part[agent]
-            idx += self.coord_space(coord).index(label) * stride
-        return idx
+        parts = {"n": cfg.nature_part, "u": cfg.decision_part}
+        return sum(sp.index(parts[kind][agent]) * stride
+                   for (kind, agent), (sp, stride) in self._radix.items())
 
     def config_at(self, index: int) -> "Configuration":
         if not 0 <= index < self.n_configs:
             raise FieldcoreError(f"configuration index {index} out of range")
-        nat, dec = {}, {}
-        for coord, size, stride in zip(self.coords, self.sizes, self.strides):
-            kind, agent = coord
-            label = self.coord_space(coord).elements[(index // stride) % size]
-            (nat if kind == "n" else dec)[agent] = label
-        return Configuration(self, nat, dec)
+        parts = {"n": {}, "u": {}}
+        for (kind, agent), (sp, stride) in self._radix.items():
+            parts[kind][agent] = sp.elements[index // stride % sp.size]
+        return Configuration(self, parts["n"], parts["u"])
 
     def omega_labels_at(self, omega_index: int) -> dict[str, str]:
-        """Nature labels of one point of the nature product (omega block)."""
-        out = {}
-        rest = omega_index
-        for a in self.agents:
-            sp = self.nature[a]
-            out[a] = sp.elements[rest % sp.size]
-            rest //= sp.size
-        return out
+        """Nature labels of one nature point: the nature part of the
+        configuration with that index, whose decisions are all the first."""
+        if not 0 <= omega_index < self.n_omega:
+            raise FieldcoreError(f"nature index {omega_index} out of range")
+        return self.config_at(omega_index).nature_part
 
     def omega_index(self, labels: Mapping[str, str]) -> int:
         """Index of a nature point given by its labels; inverse of `omega_labels_at`."""
-        idx, stride = 0, 1
-        for a in self.agents:
-            if a not in labels:
-                raise FieldcoreError(f"missing nature coordinate for agent {a!r}")
-            sp = self.nature[a]
-            idx += sp.index(labels[a]) * stride
-            stride *= sp.size
-        return idx
+        first = {a: sp.elements[0] for a, sp in self.decisions.items()}
+        return self.index_of(Configuration(self, labels, first))
 
 
 @dataclass(frozen=True)
@@ -240,6 +217,10 @@ class Configuration:
     def __post_init__(self):
         object.__setattr__(self, "nature_part", dict(self.nature_part))
         object.__setattr__(self, "decision_part", dict(self.decision_part))
+        for part, kind in ((self.nature_part, "nature"), (self.decision_part, "decision")):
+            unknown = set(part) - set(self.space.agents)
+            if unknown:
+                raise FieldcoreError(f"{kind} coordinates name unknown agents {sorted(unknown)}")
         for a in self.space.agents:
             for part, spaces, kind in (
                 (self.nature_part, self.space.nature, "nature"),

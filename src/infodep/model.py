@@ -493,7 +493,7 @@ def extend_profile(
     space = intervened.space
     i_name = spec.switch_agent
     base_mask = CoordinateMask(base.agents, base.agents)
-    switched = space.coord_values(("u", i_name)) == space.decisions[i_name].index("1")
+    on = space.decisions[i_name].index("1")
     policies: dict[str, Policy] = {}
     for a in base.agents:
         reps = intervened.info[a].partition.representatives()
@@ -503,11 +503,11 @@ def extend_profile(
             repl = replacement_policies.get(a)
             alt = 0 if repl is None else repl.table[
                 spec.replacement_fields[a].partition.atom_index[base_rep]]
-            table = np.where(switched[reps], alt, table)
+            table = np.where(space.coord_values(("u", i_name), reps) == on, alt, table)
         policies[a] = Policy(a, table)
     if switch_policy is None:
         reps = intervened.info[i_name].partition.representatives()
-        switch_policy = Policy(i_name, space.coord_values(("n", i_name))[reps])
+        switch_policy = Policy(i_name, space.coord_values(("n", i_name), reps))
     policies[i_name] = switch_policy
     return PolicyProfile(policies)
 

@@ -151,7 +151,7 @@ def _sums(code: np.ndarray, n: int, weights: np.ndarray) -> np.ndarray:
 def _keys(space, coords, configs: np.ndarray) -> list[tuple[str, ...]]:
     """Label tuple of the coordinates at each configuration."""
     cols = [np.array(space.coord_space(c).elements, dtype=object)[
-        space.coord_values(c)[configs]] for c in coords]
+        space.coord_values(c, configs)] for c in coords]
     return list(zip(*cols)) if cols else [()] * len(configs)
 
 

@@ -325,7 +325,7 @@ def check_causal_ordering(m: "WModel", phi: CausalOrdering) -> CausalityCheck:
     return CausalityCheck(True)
 
 
-def find_causal_ordering(m: "WModel", max_agents: int = 5) -> CausalOrdering | None:
+def find_causal_ordering(m: "WModel", max_agents: int = 63) -> CausalOrdering | None:
     """Search for a causal configuration-ordering; None when none exists.
 
     A search cell is one value of (nature, u_U), U the agents already
@@ -337,7 +337,9 @@ def find_causal_ordering(m: "WModel", max_agents: int = 5) -> CausalOrdering | N
     order goes next, so the search is exhaustive and the returned ordering
     deterministic.  The memo is keyed by U and holds at most
     n_omega * prod(1 + |U_a|) cells; a model with more than
-    `ORDERING_MEMO_CELLS` is refused before anything is allocated.
+    `ORDERING_MEMO_CELLS` is refused before anything is allocated.  So is
+    one of more than `max_agents` agents; it defaults to 63, one axis per
+    agent beside the nature axis of a NumPy array.
     """
     n = len(m.agents)
     max_agents = min(max_agents, 63)  # NumPy arrays have at most 64 axes

@@ -183,5 +183,5 @@ def fixed_decisions(m, y, z, ctx):
     return frozenset(
         a for a in m.agents
         if a not in set(y) | set(z) and m.space.decisions[a].size > 1
-        and np.unique(m.space.coord_values(("u", a))[ctx.indices]).size == 1
+        and np.unique(m.space.coord_values(("u", a), ctx.indices)).size == 1
     )

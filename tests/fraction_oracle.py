@@ -41,7 +41,7 @@ def pushforward(m, profile, prior):
 
 
 def _key_of(space, coords, index):
-    return tuple(space.coord_space(c).elements[int(space.coord_values(c)[index])]
+    return tuple(space.coord_space(c).elements[int(space.coord_values(c, index))]
                  for c in coords)
 
 

@@ -106,6 +106,9 @@ MALFORMED_MODEL_FILES = {
     "obs-row-label-bool": ("tikka-context", _set(("info", "b", "obs_table", 0, "u", "s"), True)),
     "policy-row-label-bool": ("witsenhausen-xor",
                               _set(("policies", "X0", 0, "omega", "X0"), False)),
+    "obs-row-unknown-agent": ("tikka-context", _set(("info", "b", "obs_table", 0, "omega", "zz"),
+                                                    "9")),
+    "policy-row-unknown-agent": ("witsenhausen-xor", _set(("policies", "X0", 0, "u", "qq"), "1")),
 }
 
 
@@ -295,6 +298,18 @@ class TestQueryCommands:
                      "--context-file", str(path))
         assert json.loads(res.output)["predecessors"]["b"] == []
 
+    @pytest.mark.parametrize("part, extra", [("omega", {"zz": "9"}), ("u", {"qq": "1"})])
+    def test_context_row_naming_unknown_agent_exits_2(self, runner, tmp_path, part, extra):
+        cfg = builtin("tikka-context").space.config_at(0)
+        row = {"omega": cfg.nature_part, "u": cfg.decision_part}
+        row[part] = {**row[part], **extra}
+        path = tmp_path / "ctx.json"
+        path.write_text(json.dumps([row]))
+        res = invoke(runner, "separate", "--builtin", "tikka-context", "--y", "a", "--z", "b",
+                     "--context-file", str(path))
+        assert res.exit_code == 2
+        assert "unknown agents" in res.stderr
+
 
 XOR_Q = ("--builtin", "witsenhausen-xor", "--y", "X3", "--z", "X4")
 
@@ -309,8 +324,8 @@ USAGE_ERRORS = {
     "reproduce-negative-seed": ("reproduce", "fig2", "--seed", "-1"),
     "precedence-pinned-twice": ("precedence", "--builtin", "tikka-context",
                                 "--pin-decision", "s=0", "--pin-decision", "s=1"),
-    "causality-negative-max-agents": ("causality", "--builtin", "common-cause",
-                                      "--max-agents", "-1"),
+    # no option caps the agents: the memo budget and the 63-axis limit do
+    "causality-max-agents-removed": ("causality", "--builtin", "kuh", "--max-agents", "7"),
     "validate-unwritable-out": ("validate", "--builtin", "kuh", "--out", "{missing}"),
     "export-unwritable-out": ("export", "--builtin", "kuh", "--out", "{missing}"),
     "intervene-unwritable-out": ("intervene", "--builtin", "common-cause", "--target", "T",

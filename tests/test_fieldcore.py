@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -107,10 +108,83 @@ class TestOmegaIndex:
         with pytest.raises(FieldcoreError):
             space.omega_index({"Z": "0", "T": "2", "Y": "1"})
 
+    def test_unknown_agent_rejected(self):
+        space = three_agent_space()
+        labels = {"Z": "0", "T": "1", "Y": "1"}
+        with pytest.raises(FieldcoreError, match=r"unknown agents \['junk'\]"):
+            space.omega_index({**labels, "junk": "x"})
+        with pytest.raises(FieldcoreError, match=r"nature coordinates name unknown agents"):
+            Configuration(space, {**labels, "zz": "9"}, labels)
+        with pytest.raises(FieldcoreError, match=r"decision coordinates name unknown agents"):
+            Configuration(space, labels, {**labels, "qq": "1"})
+
     def test_solution_missing_agent_rejected(self, xor_model):
         sol = solve(xor_model, xor_model.canonical_profile)
         with pytest.raises(FieldcoreError, match="missing nature coordinate"):
             sol.solution({"X0": "1"})
+
+
+class TestCodec:
+    """Coordinates are computed from the configuration index."""
+
+    def test_full_space_digits_follow_the_enumeration(self):
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            space = context_model(rng).space
+            # itertools.product varies its last factor fastest
+            digits = list(product(*(range(s) for s in reversed(space.sizes))))
+            coords = space.mask_coords(full_mask(space))
+            got = np.stack([space.coord_values(c) for c in coords], axis=1)
+            assert np.array_equal(got, np.array(digits)[:, ::-1])
+
+    def test_index_results_equal_the_full_space_at_the_index(self):
+        rng = np.random.default_rng(42)
+        label_counts = set()
+        for _ in range(8):
+            space = context_model(rng).space
+            label_counts |= set(space.sizes)
+            draw = rng.integers(0, space.n_configs, 20)
+            masks = [rand_mask(rng, space.agents, 0.5) for _ in range(3)]
+            masks += [full_mask(space), CoordinateMask()]
+            for index in (draw, draw.tolist(), [], np.repeat(draw[:3], 3)):
+                at = np.asarray(index, dtype=np.int64)
+                for c in space.mask_coords(full_mask(space)):
+                    assert np.array_equal(space.coord_values(c, index),
+                                          space.coord_values(c)[at])
+                for mask in masks:
+                    codes, n_codes = space.mask_codes(mask, index)
+                    full, n_full = space.mask_codes(mask)
+                    assert n_codes == n_full and np.array_equal(codes, full[at])
+            for i in range(space.n_configs):
+                assert space.index_of(space.config_at(i)) == i
+        assert label_counts == {1, 2, 3}
+
+    def test_out_of_range_points_rejected(self):
+        space = three_agent_space()
+        for bad in (-1, space.n_configs):
+            with pytest.raises(FieldcoreError, match="out of range"):
+                space.config_at(bad)
+        for bad in (-1, space.n_omega):
+            with pytest.raises(FieldcoreError, match="out of range"):
+                space.omega_labels_at(bad)
+
+    def test_no_per_configuration_array_is_allocated(self):
+        # 10 binary agents: 2**20 configurations, 8 MiB per int64 array of them
+        agents = tuple(f"A{i}" for i in range(10))
+        space = ConfigSpace(agents, *binary_spaces(agents))
+        index = np.arange(0, space.n_configs, 9973)
+        last = space.n_configs - 1
+        tracemalloc.start()
+        try:
+            codes, _ = space.mask_codes(full_mask(space), index)
+            assert space.index_of(space.config_at(last)) == last
+            labels = space.omega_labels_at(space.n_omega - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert np.array_equal(codes, index) and set(labels.values()) == {"1"}
+        assert not any(isinstance(v, np.ndarray) for v in vars(space).values())
 
 
 class TestPartitionFromMask:

@@ -200,12 +200,12 @@ def verify_factorization_oracle(m, profile, ctx, cert, y, z, w):
     sol_cfg = sol.config_index[in_domain]
 
     def u_of(agents):
-        cols = [space.coord_values(("u", a))[sol_cfg] for a in space.agents if a in agents]
+        cols = [space.coord_values(("u", a), sol_cfg) for a in space.agents if a in agents]
         return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
 
     def om_of(agents):
         # a configuration index below n_omega has u = 0, so it reads as omega
-        cols = [space.coord_values(("n", a))[omega] for a in space.agents if a in agents]
+        cols = [space.coord_values(("n", a), omega) for a in space.agents if a in agents]
         return np.stack(cols, axis=1) if cols else np.zeros((omega.shape[0], 0), np.int64)
 
     def witness(i, j):
@@ -560,8 +560,7 @@ class TestCausalOrdering:
             ).ok
 
     def test_find_on_dag_model(self, kuh_model):
-        # 7 agents exceeds the default cap; raise it for this DAG
-        phi = find_causal_ordering(kuh_model, max_agents=7)
+        phi = find_causal_ordering(kuh_model)
         assert phi is not None
         assert check_causal_ordering(kuh_model, phi).ok
 
@@ -594,10 +593,12 @@ class TestCausalOrdering:
         # search fills only the 64 cells of one chain of agent sets.
         cap = f"capped at {solvability.ORDERING_MEMO_CELLS} memo cells"
         with pytest.raises(FieldcoreError, match=cap):
-            find_causal_ordering(trivial_model(63), max_agents=64)
+            find_causal_ordering(trivial_model(63))
         monkeypatch.setattr(solvability, "ORDERING_MEMO_CELLS", 1 << 63)
-        phi = find_causal_ordering(trivial_model(63), max_agents=64)
+        phi = find_causal_ordering(trivial_model(63))
         assert phi.ordering_at(0) == tuple(f"A{i}" for i in range(63))
+        with pytest.raises(FieldcoreError, match="capped at 63 agents"):
+            find_causal_ordering(trivial_model(64))
         with pytest.raises(FieldcoreError, match="capped at 63 agents"):
             find_causal_ordering(trivial_model(64), max_agents=64)
 
@@ -607,10 +608,10 @@ class TestCausalOrdering:
         monkeypatch.setattr(solvability, "ORDERING_MEMO_CELLS", cells - 1)
         monkeypatch.setattr(solvability.np, "full", None)  # the memo's allocator
         with pytest.raises(FieldcoreError, match=f"needs {cells}"):
-            find_causal_ordering(kuh_model, max_agents=7)
+            find_causal_ordering(kuh_model)
         monkeypatch.undo()
         monkeypatch.setattr(solvability, "ORDERING_MEMO_CELLS", cells)
-        assert find_causal_ordering(kuh_model, max_agents=7) is not None
+        assert find_causal_ordering(kuh_model) is not None
 
     def test_ordering_with_wrong_row_count_rejected(self, common_cause_model):
         rows = np.tile(np.arange(3, dtype=np.int16), (10, 1))
@@ -655,7 +656,7 @@ class TestCausalOrdering:
         cases += [(random_mask_model(rng, 6, edge_prob=0.35), 6) for _ in range(3)]
         cases.append((kuh_model, 7))
         for m, n in cases:
-            phi = find_causal_ordering(m, max_agents=n)
+            phi = find_causal_ordering(m)
             ref = find_causal_ordering_oracle(m, max_agents=n, max_configs=20_000)
             assert (phi is None) == (ref is None)
             if phi is not None:
